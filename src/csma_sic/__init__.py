@@ -11,7 +11,7 @@ from .phy import (ChannelMatrix, Link, NetworkTopology, Node, PhyConfig,
                   build_channel_matrix, sic_decodable)
 from .localstate import (CoeffTable, MissingGainError, TxTable,
                          check_all_feasible, check_feasible, overhear_ack,
-                         overhear_cts, overhear_rts)
+                         overhear_cts, overhear_rts, warm_coeff_table)
 from .setspace import (EnumerationCapError, FeasibleFamily, LinkSet,
                        capacity_contains, enumerate_feasible, eta,
                        is_independent, reachable_subfamily)

@@ -1,8 +1,4 @@
-"""Pure-Python staged SIC decode kernel.
-
-Reference implementation of the hot decode loop; the Cython module
-``_sic_core`` compiles the identical algorithm.  Keep the two in sync.
-"""
+"""Pure-Python staged SIC decode kernel."""
 
 
 def decode_feasible(gains, tx_ids, target_tx, betas, noise_plus_far, cancel_fraction):

@@ -1,35 +1,10 @@
-"""Decode-kernel selection: compiled extension if available, else pure Python.
+"""The SIC decode kernel used by the rest of the package.
 
-``decode_feasible`` accepts plain sequences; the compiled path converts them
-to contiguous arrays.  ``KERNEL_BACKEND`` reports which path is active.
-Set the environment variable ``CSMA_SIC_PURE=1`` to force the fallback.
+There is one implementation, ``_decode_py.decode_feasible``.  This module
+keeps the import path and the ``KERNEL_BACKEND`` name that the benchmark
+(``perfbench/run.py``) reads on every run and patches when tracing.
 """
 
-import os
+from ._decode_py import decode_feasible
 
-import numpy as np
-
-from . import _decode_py
-
-decode_feasible_py = _decode_py.decode_feasible
-
-try:
-    if os.environ.get("CSMA_SIC_PURE"):
-        raise ImportError("pure-python kernel forced via CSMA_SIC_PURE")
-    from ._sic_core import decode_feasible as _decode_c
-
-    KERNEL_BACKEND = "cython"
-
-    def decode_feasible(gains, tx_ids, target_tx, betas, noise_plus_far, cancel_fraction):
-        return _decode_c(
-            np.ascontiguousarray(gains, dtype=np.float64),
-            np.ascontiguousarray(tx_ids, dtype=np.int64),
-            target_tx,
-            np.ascontiguousarray(betas, dtype=np.float64),
-            noise_plus_far,
-            cancel_fraction,
-        )
-
-except ImportError:
-    KERNEL_BACKEND = "python"
-    decode_feasible = _decode_py.decode_feasible
+KERNEL_BACKEND = "python"

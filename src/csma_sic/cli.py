@@ -36,7 +36,7 @@ def _write_table(path, rows) -> None:
 def _analyze_rows(scn: Scenario):
     family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
     q = ctmc.steady_state(family, scn.params)
-    tau = ctmc.expected_throughput(family, scn.params)
+    tau = q.throughput()
     rows = [("Q", str(d), p, None) for d, p in sorted(q.probs.items())]
     rows += [("tau", str(i), t, None) for i, t in enumerate(tau)]
     return family, q, tau, rows
@@ -64,7 +64,7 @@ def cmd_simulate(scn: Scenario, out=None) -> int:
     try:
         family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
         q = ctmc.steady_state(family, scn.params)
-        tau = ctmc.expected_throughput(family, scn.params)
+        tau = q.throughput()
         ana_occ = {d.bits: p for d, p in q.probs.items()}
         width = family.width
     except EnumerationCapError:

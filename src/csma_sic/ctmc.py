@@ -57,6 +57,14 @@ class SteadyState:
     def prob(self, d: LinkSet) -> float:
         return self.probs.get(d, 0.0)
 
+    def throughput(self) -> np.ndarray:
+        """Per-link stationary activity probability (long-run throughput)."""
+        tau = np.zeros(next(iter(self.probs)).width)
+        for d, p in self.probs.items():
+            for i in d.ids():
+                tau[i] += p
+        return tau
+
 
 def transition_rates(family: FeasibleFamily, params: RateParams) -> dict:
     """Directed transition rates keyed by (from_ordinal, to_ordinal)."""
@@ -119,9 +127,4 @@ def detailed_balance_residual(family: FeasibleFamily, params: RateParams,
 
 def expected_throughput(family: FeasibleFamily, params: RateParams) -> np.ndarray:
     """Per-link stationary activity probability (long-run throughput)."""
-    q = steady_state(family, params)
-    tau = np.zeros(family.width)
-    for d, p in q.probs.items():
-        for i in d.ids():
-            tau[i] += p
-    return tau
+    return steady_state(family, params).throughput()

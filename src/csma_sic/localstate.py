@@ -9,7 +9,7 @@ using only this table data.
 from dataclasses import dataclass, field
 
 from ._kernel import decode_feasible
-from .phy import ChannelMatrix, PhyConfig
+from .phy import ChannelMatrix, NetworkTopology, PhyConfig
 
 
 class MissingGainError(KeyError):
@@ -72,6 +72,24 @@ class TxTable:
 
     def __len__(self) -> int:
         return len(self.active)
+
+
+def warm_coeff_table(topology: NetworkTopology, channel: ChannelMatrix,
+                     owner: int) -> CoeffTable:
+    """Coefficient table of a node that has overheard every exchange near it.
+
+    Holds the gain of every node pair with at least one end in range of
+    ``owner``: what RTS/CTS/ACK overhearing converges to under a static
+    channel.
+    """
+    n = topology.n_nodes
+    near = [topology.in_range(u, owner) for u in range(n)]
+    table = CoeffTable(owner)
+    for a in range(n):
+        for b in range(a + 1, n):
+            if near[a] or near[b]:
+                table.set(a, b, channel.gain(a, b))
+    return table
 
 
 def overhear_rts(table: CoeffTable, rts_tx: int, rts_rx: int,

@@ -176,16 +176,17 @@ def sic_decodable(tx, rx, active_tx, channel: ChannelMatrix, phy: PhyConfig,
     """Whether the receiver can decode the signal from ``tx`` via staged SIC.
 
     ``active_tx`` is the set of transmitters within decode radius of ``rx``
-    (the caller filters by range); ``beta_by_tx`` optionally maps a
-    transmitter id to the SINR threshold of its link, defaulting to the
-    uniform threshold.
+    (the caller filters by range); ``beta_by_tx`` maps a transmitter id to
+    the SINR threshold of its link.  It defaults to the uniform threshold and
+    is required when thresholds are per link.
     """
     active = sorted(active_tx)
     if tx not in active_tx:
         raise ValueError("desired transmitter is not in the active set")
     if beta_by_tx is None:
-        beta = float(np.atleast_1d(phy.sinr_threshold)[0])
-        betas = [beta] * len(active)
+        if isinstance(phy.sinr_threshold, tuple):
+            raise ValueError("per-link thresholds require a beta_by_tx mapping")
+        betas = [float(phy.sinr_threshold)] * len(active)
     else:
         betas = [beta_by_tx[k] for k in active]
     gains = [channel.gain(k, rx) for k in active]

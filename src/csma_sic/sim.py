@@ -3,10 +3,13 @@
 Every backlogged link counts down an exponential backoff timer that is
 suspended whenever the transmission would be infeasible and resumed (with
 its remaining time preserved) once it becomes feasible again.  Control
-signaling is instantaneous: each RTS/CTS/ACK atomically updates the local
-tables of every node in range, and each table update re-evaluates every
-link's feasibility.  The run is deterministic given the seed, with one
-independent random stream per link.
+signaling is instantaneous, so a node's view is a function of the set of
+ongoing transmissions: its coefficient table holds every gain overhearing
+teaches it under the static channel, and its transmission table holds the
+ongoing links with an endpoint in its range.  Every start and end of a
+transmission re-evaluates every link's feasibility from those views.  The
+run is deterministic given the seed, with one independent random stream
+per link.
 """
 
 import heapq
@@ -14,9 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import localstate
 from .ctmc import RateParams
-from .localstate import CoeffTable, TxTable, check_all_feasible
+from .localstate import TxTable, check_all_feasible, warm_coeff_table
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig
 from .setspace import LinkSet, is_independent
 
@@ -76,9 +78,10 @@ class Simulator:
 
     ``advance(until)`` processes all events up to the given time, so callers
     can interleave simulation epochs with parameter changes (``set_rates``).
-    Feasibility verdicts are cached per (link, active-set) pair; the tables
-    these verdicts come from are a deterministic function of the active set
-    under the static channel, so the cache is exact.
+    The protocol state is the ``active`` bitmask plus the timers.  A link may
+    count down when its transmitter's local check passes; the tables that
+    check reads are derived from ``active``, so the verdicts of all links are
+    cached together as one bitmask per active set (``_frontier``).
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
@@ -96,17 +99,17 @@ class Simulator:
         self.check_invariants = check_invariants
         self.record_cycles = record_cycles
 
-        n = topology.n_nodes
-        self.neighbors = [
-            [u for u in range(n) if topology.in_range(u, v)] for v in range(n)
-        ]
-        self.coeffs = [CoeffTable(v) for v in range(n)]
-        for v in range(n):
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if topology.in_range(a, v) or topology.in_range(b, v):
-                        self.coeffs[v].set(a, b, channel.gain(a, b))
-        self.txtables = [TxTable(v) for v in range(n)]
+        # Only transmitters run the local check, so only they need a view:
+        # their coefficient table, and the links they hear about, that is,
+        # those with an endpoint in range of the transmitter.
+        senders = {l.tx for l in topology.links}
+        self.coeffs = {v: warm_coeff_table(topology, channel, v)
+                       for v in senders}
+        self.heard = {
+            v: sum(1 << l.id for l in topology.links
+                   if topology.in_range(l.tx, v) or topology.in_range(l.rx, v))
+            for v in senders
+        }
         self.beta_by_pair = {
             (l.tx, l.rx): self.phy.beta_for(l.id) for l in topology.links
         }
@@ -139,7 +142,7 @@ class Simulator:
         self.occupancy = {}
         self.last_t = 0.0
 
-        self._feas_cache = {}
+        self._frontier_cache = {}
         self._indep_cache = {}
 
         for i in range(k):
@@ -154,15 +157,29 @@ class Simulator:
             raise ValueError("rates must be positive, one per link")
         self.lam = lam.copy()
 
+    def _frontier(self, mask: int) -> int:
+        """Bitmask of the links outside ``mask`` that may start transmitting."""
+        front = self._frontier_cache.get(mask)
+        if front is None:
+            front = 0
+            links = self.topology.links
+            for l in links:
+                if mask >> l.id & 1:
+                    continue
+                txs = TxTable(l.tx)
+                m = mask & self.heard[l.tx]
+                while m:
+                    o = links[(m & -m).bit_length() - 1]
+                    txs.register(o.tx, o.rx)
+                    m &= m - 1
+                if check_all_feasible(l.tx, l.rx, self.coeffs[l.tx], txs,
+                                      self.phy, self.beta_by_pair):
+                    front |= 1 << l.id
+            self._frontier_cache[mask] = front
+        return front
+
     def _feasible(self, link: int) -> bool:
-        key = (link, self.active)
-        v = self._feas_cache.get(key)
-        if v is None:
-            l = self.topology.links[link]
-            v = check_all_feasible(l.tx, l.rx, self.coeffs[l.tx],
-                                   self.txtables[l.tx], self.phy, self.beta_by_pair)
-            self._feas_cache[key] = v
-        return v
+        return bool(self._frontier(self.active) >> link & 1)
 
     def _independent(self, mask: int) -> bool:
         v = self._indep_cache.get(mask)
@@ -188,11 +205,11 @@ class Simulator:
             self.remaining[link] = b
 
     def _reevaluate(self) -> None:
-        for i in range(len(self.state)):
-            st = self.state[i]
+        front = self._frontier(self.active)
+        for i, st in enumerate(self.state):
             if st == "transmitting":
                 continue
-            feas = self._feasible(i)
+            feas = front >> i & 1
             if st == "counting" and not feas:
                 self.remaining[i] = self.expiry[i] - self.now
                 self._counted[i] += self.now - self._resumed_at[i]
@@ -213,14 +230,6 @@ class Simulator:
         if self.check_invariants and not self._feasible(link):
             raise ProtocolError(f"timer of link {link} expired while infeasible")
         self._accumulate(self.now)
-        l = self.topology.links[link]
-        for v in self.neighbors[l.tx]:
-            localstate.overhear_rts(self.coeffs[v], l.tx, l.rx, self.channel)
-            self.txtables[v].register(l.tx, l.rx)
-        for v in self.neighbors[l.rx]:
-            localstate.overhear_cts(self.coeffs[v], l.rx, l.tx,
-                                    self.channel.gain(l.tx, l.rx), self.channel)
-            self.txtables[v].register(l.tx, l.rx)
         self.active |= 1 << link
         if self.check_invariants:
             if not self._independent(self.active):
@@ -240,12 +249,6 @@ class Simulator:
 
     def _complete(self, link: int) -> None:
         self._accumulate(self.now)
-        l = self.topology.links[link]
-        for v in self.neighbors[l.rx]:
-            localstate.overhear_ack(self.coeffs[v], l.rx, self.channel)
-            self.txtables[v].clear(l.tx)
-        for v in self.neighbors[l.tx]:
-            self.txtables[v].clear(l.tx)
         self.active &= ~(1 << link)
         self.completed_total[link] += 1
         if self.now >= self.warmup:

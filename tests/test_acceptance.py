@@ -17,12 +17,10 @@ from csma_sic import (AdaptConfig, LinkSet, RateParams, SimConfig, TxTable,
                       check_all_feasible, detailed_balance_residual,
                       empirical_throughput, enumerate_feasible,
                       expected_throughput, global_balance_residual,
-                      is_independent, run, steady_state)
+                      is_independent, run, steady_state, warm_coeff_table)
 from csma_sic._kernel import decode_feasible
 from csma_sic.cli import main as cli_main
 from conftest import random_topology, triangle_topology
-
-from test_localstate import warm_tables
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -105,7 +103,7 @@ def test_3_local_global_equivalence():
         for i in active_ids:
             txs.register(topo.links[i].tx, topo.links[i].rx)
         local = check_all_feasible(link.tx, link.rx,
-                                   warm_tables(topo, channel, link.tx),
+                                   warm_coeff_table(topo, channel, link.tx),
                                    txs, topo.phy)
         glob = is_independent(base.add(cand), topo, channel)
         mismatches += local != glob

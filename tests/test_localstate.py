@@ -6,7 +6,7 @@ import pytest
 from csma_sic import (CoeffTable, MissingGainError, PhyConfig, TxTable,
                       build_channel_matrix, check_all_feasible, check_feasible,
                       is_independent, LinkSet, overhear_ack, overhear_cts,
-                      overhear_rts, sic_decodable)
+                      overhear_rts, sic_decodable, warm_coeff_table)
 from conftest import gain_matrix, random_topology
 
 
@@ -168,17 +168,6 @@ class TestCheckAllFeasible:
         assert not check_all_feasible(2, 0, coeffs, txs, PHY)  # 2 is busy
 
 
-def warm_tables(topo, channel, owner):
-    """Fully populated coefficient table, as a long-running node would hold."""
-    coeffs = CoeffTable(owner=owner)
-    n = topo.n_nodes
-    for a in range(n):
-        for b in range(a + 1, n):
-            if topo.in_range(a, owner) or topo.in_range(b, owner):
-                coeffs.set(a, b, channel.gain(a, b))
-    return coeffs
-
-
 class TestLocalGlobalEquivalence:
     def test_random_instances(self):
         # with full tables and everything in range, the distributed check
@@ -197,7 +186,7 @@ class TestLocalGlobalEquivalence:
             if not is_independent(base, topo, channel):
                 continue
             link = topo.links[cand]
-            coeffs = warm_tables(topo, channel, link.tx)
+            coeffs = warm_coeff_table(topo, channel, link.tx)
             txs = TxTable(owner=link.tx)
             for i in active_ids:
                 txs.register(topo.links[i].tx, topo.links[i].rx)

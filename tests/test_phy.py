@@ -77,6 +77,14 @@ class TestSicDecodable:
         results = {sic_decodable(0, 2, {0, 1}, ch, phy) for _ in range(10)}
         assert len(results) == 1
 
+    def test_per_link_thresholds_need_a_mapping(self):
+        # link 1 alone has SINR 10: enough for link 0's threshold, not its own
+        phy = PhyConfig(noise_power=0.1, sinr_threshold=(0.5, 200.0))
+        ch = gain_matrix(4, {(0, 1): 1.0, (2, 3): 1.0})
+        with pytest.raises(ValueError):
+            sic_decodable(2, 3, {2}, ch, phy)
+        assert not sic_decodable(2, 3, {2}, ch, phy, {2: 200.0})
+
 
 def _random_receiver_case(rng, n_signals):
     gains = rng.uniform(0.01, 5.0, size=n_signals)

@@ -1,5 +1,8 @@
 """Event-driven protocol simulator: invariants, determinism, convergence."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -8,7 +11,10 @@ from csma_sic import (LinkSet, NetworkTopology, Link, Node, PhyConfig,
                       RateParams, SimConfig, Simulator, build_channel_matrix,
                       empirical_throughput, enumerate_feasible,
                       expected_throughput, run, steady_state)
+from csma_sic.cli import main as cli_main
 from conftest import random_topology, triangle_topology
+
+TRIANGLE_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "triangle.yaml"
 
 
 def conflict_pair():
@@ -76,6 +82,37 @@ class TestDeterminism:
         sa, sb = one.stats(), pieces.stats()
         assert np.array_equal(sa.busy_time, sb.busy_time)
         assert sa.occupancy == pytest.approx(sb.occupancy)
+
+
+class TestPinnedOutputs:
+    """Outputs recorded before the simulator derived its local view from the
+    active-link mask; a refactor of the event loop must reproduce them."""
+
+    TRIANGLE_CSV_SHA256 = {
+        1: "429c372be717e03bd998b53f042a25f71775e56228e0ba5310791a1103b62e12",
+        2: "5ab83a27c770d7a971e555b44ba37b422727feee0a16979156a23d5563996033",
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_triangle_simulate_csv(self, tmp_path, seed):
+        out = tmp_path / "sim.csv"
+        assert cli_main(["simulate", str(TRIANGLE_YAML), "--horizon", "2e4",
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.TRIANGLE_CSV_SHA256[seed]
+
+    def test_random_topology_trajectory(self):
+        topo = random_topology(np.random.default_rng(7), 10)
+        sim = Simulator(topo, build_channel_matrix(topo), seed=3)
+        sim.advance(500.0)
+        assert sim.completed_total.tolist() == [
+            131, 100, 110, 132, 18, 96, 60, 106, 143, 232]
+        assert sorted(sim.occupancy) == [
+            0, 1, 2, 3, 4, 8, 9, 10, 11, 12, 16, 20, 32, 33, 34, 35, 36, 64,
+            65, 68, 128, 132, 136, 144, 160, 192, 256, 257, 258, 259, 260,
+            264, 265, 268, 384, 388, 392, 512, 513, 514, 515, 516, 520, 521,
+            524, 544, 545, 546, 547, 548, 576, 577, 580, 640, 648, 672, 704,
+            768, 769, 770, 771, 772, 776, 896]
 
 
 class TestStatsConsistency:
