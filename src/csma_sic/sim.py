@@ -13,6 +13,7 @@ per link.
 """
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,11 +41,12 @@ class SimConfig:
     warmup: float = None
 
     def __post_init__(self):
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        if not math.isfinite(self.horizon) or self.horizon < 0:
+            raise ValueError("horizon must be finite and nonnegative")
         warmup = 0.1 * self.horizon if self.warmup is None else self.warmup
-        if warmup < 0 or (warmup >= self.horizon and self.horizon > 0):
-            raise ValueError("warmup must lie in [0, horizon)")
+        if (not math.isfinite(warmup) or warmup < 0
+                or (warmup >= self.horizon and self.horizon > 0)):
+            raise ValueError("warmup must be finite and lie in [0, horizon)")
         object.__setattr__(self, "warmup", warmup)
 
 

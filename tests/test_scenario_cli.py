@@ -114,6 +114,13 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario(d)
 
+    def test_non_finite_horizon_rejected(self, scenario_path):
+        text = scenario_path.read_text()
+        assert "horizon: 5000.0" in text
+        scenario_path.write_text(text.replace("horizon: 5000.0", "horizon: .nan"))
+        with pytest.raises(ScenarioError):
+            load_scenario(scenario_path)
+
     def test_missing_topology(self):
         with pytest.raises(ScenarioError):
             parse_scenario({"phy": {}})
@@ -182,6 +189,14 @@ class TestCli:
         p = tmp_path / "bad.yaml"
         p.write_text("topology: 3\n")
         assert main(["analyze", str(p)]) == 2
+
+    @pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
+    def test_bad_horizon_override_exit_code(self, scenario_path, horizon,
+                                            capsys):
+        assert main(["simulate", str(scenario_path), "--horizon", horizon]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.yaml")]) == 2

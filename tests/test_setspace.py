@@ -50,11 +50,17 @@ class TestTriangleFamily:
         assert eta(LinkSet.from_ids([0], 3), fam) == (1, 2)
         assert eta(LinkSet.from_ids([0, 1], 3), fam) == ()
 
+    def test_frontier(self, triangle):
+        topo, channel = triangle
+        fam = enumerate_feasible(topo, channel)
+        assert fam.frontier[0] == 0b111
+        assert fam.frontier[0b001] == 0b110
+        assert fam.frontier[0b011] == 0
+        assert set(fam.frontier) == {s.bits for s in fam.sets}
+
     def test_reachable_equals_exhaustive(self, triangle):
         topo, channel = triangle
         fam = enumerate_feasible(topo, channel)
-        reach = enumerate_feasible(topo, channel, mode="reachable")
-        assert fam.sets == reach.sets
         order, unreachable = reachable_subfamily(fam)
         assert unreachable == ()
         assert order == fam.sets
@@ -96,6 +102,12 @@ class TestNonHereditary:
         order, unreachable = reachable_subfamily(fam)
         assert order == (LinkSet(0, k),)
         assert unreachable == (LinkSet.from_ids([0, 1], k),)
+
+
+class TestFamilyConstruction:
+    def test_member_width_must_match(self):
+        with pytest.raises(ValueError):
+            FeasibleFamily((LinkSet(0, 2), LinkSet(0b100, 3)), 2)
 
 
 class TestEnumerationCap:

@@ -115,6 +115,25 @@ class TestPinnedOutputs:
             768, 769, 770, 771, 772, 776, 896]
 
 
+class TestFrontierAgreement:
+    """The simulator's local frontier equals the exact engine's frontier."""
+
+    def _assert_agree(self, topo, channel):
+        family = enumerate_feasible(topo, channel)
+        simulator = Simulator(topo, channel)
+        for d in family.sets:
+            assert simulator._frontier(d.bits) == family.frontier[d.bits], str(d)
+
+    def test_triangle(self, triangle):
+        self._assert_agree(*triangle)
+
+    def test_random_topologies(self):
+        rng = np.random.default_rng(909)
+        for _ in range(60):
+            topo = random_topology(rng, int(rng.integers(2, 7)))
+            self._assert_agree(topo, build_channel_matrix(topo))
+
+
 class TestStatsConsistency:
     def test_occupancy_decomposes_busy_time(self, triangle):
         topo, channel = triangle
@@ -224,6 +243,8 @@ class TestConfigValidation:
             SimConfig(horizon=10.0, warmup=10.0)
         with pytest.raises(ValueError):
             SimConfig(horizon=10.0, warmup=-1.0)
+        with pytest.raises(ValueError):
+            SimConfig(horizon=10.0, warmup=float("nan"))
         assert SimConfig(horizon=10.0).warmup == pytest.approx(1.0)
 
     def test_solo_infeasible_link_rejected(self):
