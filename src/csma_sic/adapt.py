@@ -30,11 +30,15 @@ class AdaptConfig:
 
     def __post_init__(self):
         x = np.asarray(self.target_rates, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("target rates must be nonnegative")
+        if not np.all(np.isfinite(x)) or np.any(x < 0):
+            raise ValueError("target rates must be finite and nonnegative")
         object.__setattr__(self, "target_rates", x)
-        for name in ("update_period", "step_a0", "step_i0", "r_cap"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("update_period", "max_updates", "step_a0", "step_i0",
+                     "r_cap"):
+            value = float(getattr(self, name))
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "max_updates", int(self.max_updates))
         if self.update_period <= 0 or self.max_updates <= 0:
             raise ValueError("update_period and max_updates must be positive")

@@ -28,6 +28,8 @@ class RateParams:
         mu = np.ones_like(r) if self.mu is None else np.asarray(self.mu, dtype=float)
         if mu.shape != r.shape:
             raise ValueError("r and mu must have the same length")
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(mu))):
+            raise ValueError("r and mu must be finite")
         if np.any(mu <= 0):
             raise ValueError("service rates must be positive")
         object.__setattr__(self, "r", r)

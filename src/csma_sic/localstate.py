@@ -3,7 +3,8 @@
 Each node learns channel gains by overhearing RTS/CTS/ACK exchanges and
 tracks which neighboring transmissions are in flight.  The distributed
 feasibility check simulates the staged decoding of every known receiver
-using only this table data.
+using only this table data.  Tests check the simulator's verdicts, the
+global oracle on each transmitter's view, against it as the reference.
 """
 
 from dataclasses import dataclass, field

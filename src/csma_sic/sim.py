@@ -3,13 +3,12 @@
 Every backlogged link counts down an exponential backoff timer that is
 suspended whenever the transmission would be infeasible and resumed (with
 its remaining time preserved) once it becomes feasible again.  Control
-signaling is instantaneous, so a node's view is a function of the set of
-ongoing transmissions: its coefficient table holds every gain overhearing
-teaches it under the static channel, and its transmission table holds the
-ongoing links with an endpoint in its range.  Every start and end of a
-transmission re-evaluates every link's feasibility from those views.  The
-run is deterministic given the seed, with one independent random stream
-per link.
+signaling is instantaneous, so a transmitter's view is the set of ongoing
+links with an endpoint in its range, and a link may start when that view
+plus the link is independent: the verdict of the transmitter's table check
+(``localstate``) under the static channel.  Every start and end of a
+transmission re-evaluates every link's feasibility.  The run is
+deterministic given the seed, with one independent random stream per link.
 """
 
 import heapq
@@ -19,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ctmc import RateParams
-from .localstate import TxTable, check_all_feasible, warm_coeff_table
+# perfbench/run.py wraps ``sim.check_all_feasible``, which is not called here.
+from .localstate import MissingGainError, check_all_feasible  # noqa: F401
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig
-from .setspace import LinkSet, is_independent
+from .setspace import LinkSet, bit_ids, is_independent
 
 _COMPLETION = 0  # tie-break: completions before timer expiries
 _EXPIRY = 1
@@ -81,15 +81,14 @@ class Simulator:
     ``advance(until)`` processes all events up to the given time, so callers
     can interleave simulation epochs with parameter changes (``set_rates``).
     The protocol state is the ``active`` bitmask plus the timers.  A link may
-    count down when its transmitter's local check passes; the tables that
-    check reads are derived from ``active``, so the verdicts of all links are
-    cached together as one bitmask per active set (``_frontier``).
+    count down when the links of ``active`` its transmitter hears, plus the
+    link, are independent; all verdicts are cached as one bitmask per active
+    set (``_frontier``), read through the same cache as the invariant checks.
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
                  phy: PhyConfig = None, params: RateParams = None, seed: int = 0,
-                 warmup: float = 0.0, check_invariants: bool = True,
-                 record_cycles: bool = False):
+                 warmup: float = 0.0, record_cycles: bool = False):
         self.topology = topology
         self.channel = channel
         self.phy = phy or topology.phy
@@ -98,26 +97,23 @@ class Simulator:
         self.lam = params.lam.copy()
         self.mu = params.mu.copy()
         self.warmup = warmup
-        self.check_invariants = check_invariants
         self.record_cycles = record_cycles
 
-        # Only transmitters run the local check, so only they need a view:
-        # their coefficient table, and the links they hear about, that is,
-        # those with an endpoint in range of the transmitter.
+        self._frontier_cache = {}
+        self._indep_cache = {}
+
+        # Per transmitter, the links whose transmitter and whose receiver are
+        # out of its range.  It knows the gains of node pairs with an end in
+        # its range, so a view holding one link of each lacks a gain.
         senders = {l.tx for l in topology.links}
-        self.coeffs = {v: warm_coeff_table(topology, channel, v)
+        self.far_tx = {v: sum(1 << l.id for l in topology.links
+                              if not topology.in_range(l.tx, v))
                        for v in senders}
-        self.heard = {
-            v: sum(1 << l.id for l in topology.links
-                   if topology.in_range(l.tx, v) or topology.in_range(l.rx, v))
-            for v in senders
-        }
-        self.beta_by_pair = {
-            (l.tx, l.rx): self.phy.beta_for(l.id) for l in topology.links
-        }
+        self.far_rx = {v: sum(1 << l.id for l in topology.links
+                              if not topology.in_range(l.rx, v))
+                       for v in senders}
         for l in topology.links:
-            if not check_all_feasible(l.tx, l.rx, self.coeffs[l.tx],
-                                      TxTable(l.tx), self.phy, self.beta_by_pair):
+            if not self._independent(1 << l.id):
                 raise ValueError(f"link {l.id} is not solo-feasible")
 
         self.rng = [
@@ -144,9 +140,6 @@ class Simulator:
         self.occupancy = {}
         self.last_t = 0.0
 
-        self._frontier_cache = {}
-        self._indep_cache = {}
-
         for i in range(k):
             self._fresh_backoff(i)
 
@@ -155,8 +148,8 @@ class Simulator:
     def set_rates(self, lam) -> None:
         """Change activation rates; applies to subsequently drawn backoffs."""
         lam = np.asarray(lam, dtype=float)
-        if lam.shape != self.lam.shape or np.any(lam <= 0):
-            raise ValueError("rates must be positive, one per link")
+        if lam.shape != self.lam.shape or not np.all(np.isfinite(lam) & (lam > 0)):
+            raise ValueError("rates must be finite and positive, one per link")
         self.lam = lam.copy()
 
     def _frontier(self, mask: int) -> int:
@@ -168,14 +161,13 @@ class Simulator:
             for l in links:
                 if mask >> l.id & 1:
                     continue
-                txs = TxTable(l.tx)
-                m = mask & self.heard[l.tx]
-                while m:
-                    o = links[(m & -m).bit_length() - 1]
-                    txs.register(o.tx, o.rx)
-                    m &= m - 1
-                if check_all_feasible(l.tx, l.rx, self.coeffs[l.tx], txs,
-                                      self.phy, self.beta_by_pair):
+                far_tx, far_rx = self.far_tx[l.tx], self.far_rx[l.tx]
+                view = mask & ~(far_tx & far_rx) | 1 << l.id
+                if view & far_tx and view & far_rx:
+                    t, r = (links[next(bit_ids(view & m))] for m in (far_tx, far_rx))
+                    raise MissingGainError(f"node {l.tx} has no gain estimate "
+                                           f"for pair ({t.tx}, {r.rx})")
+                if self._independent(view):
                     front |= 1 << l.id
             self._frontier_cache[mask] = front
         return front
@@ -229,17 +221,16 @@ class Simulator:
         if self.state[link] != "counting":
             raise ProtocolError(f"expiry event for link {link} in state "
                                 f"{self.state[link]}")
-        if self.check_invariants and not self._feasible(link):
+        if not self._feasible(link):
             raise ProtocolError(f"timer of link {link} expired while infeasible")
         self._accumulate(self.now)
         self.active |= 1 << link
-        if self.check_invariants:
-            if not self._independent(self.active):
-                raise ProtocolError("active set left the independent-set family")
-            self._counted[link] += self.now - self._resumed_at[link]
-            if abs(self._counted[link] - self._draw[link]) > 1e-6:
-                raise ProtocolError("backoff bookkeeping lost time across "
-                                    "suspend/resume")
+        if not self._independent(self.active):
+            raise ProtocolError("active set left the independent-set family")
+        self._counted[link] += self.now - self._resumed_at[link]
+        if abs(self._counted[link] - self._draw[link]) > 1e-6:
+            raise ProtocolError("backoff bookkeeping lost time across "
+                                "suspend/resume")
         self.state[link] = "transmitting"
         self.token[link] += 1
         duration = self.rng[link].exponential(1.0 / self.mu[link])
@@ -300,10 +291,10 @@ class Simulator:
 
 
 def run(topology: NetworkTopology, channel: ChannelMatrix, phy: PhyConfig,
-        cfg: SimConfig, **kwargs) -> SimStats:
+        cfg: SimConfig) -> SimStats:
     """Run the protocol for the configured horizon and return its statistics."""
     sim = Simulator(topology, channel, phy=phy, params=cfg.params,
-                    seed=cfg.seed, warmup=cfg.warmup, **kwargs)
+                    seed=cfg.seed, warmup=cfg.warmup)
     if cfg.horizon > 0:
         sim.advance(cfg.horizon)
     return sim.stats()

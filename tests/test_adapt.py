@@ -38,6 +38,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdaptConfig(target_rates=[0.5], arrivals="bursty")
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["update_period", "max_updates",
+                                      "step_a0", "step_i0", "r_cap"])
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(ValueError):
+            AdaptConfig(target_rates=[0.5], **{name: bad})
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(ValueError):
+            AdaptConfig(target_rates=[0.5, bad])
+
 
 class TestLoop:
     def test_target_inside_region_is_served(self, triangle):

@@ -19,6 +19,15 @@ def chain_family(k):
     return FeasibleFamily(tuple(sets), k)
 
 
+class TestRateParams:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            RateParams(r=np.array([0.0, bad]))
+        with pytest.raises(ValueError):
+            RateParams(r=np.zeros(2), mu=np.array([1.0, bad]))
+
+
 class TestTriangleSteadyState:
     def test_uniform_at_zero_rates(self, triangle):
         topo, channel = triangle

@@ -121,6 +121,14 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             load_scenario(scenario_path)
 
+    @pytest.mark.parametrize("rates", [{"r": [float("nan"), 0.0, 0.0]},
+                                       {"mu": [1.0, float("inf"), 1.0]}])
+    def test_non_finite_rates_rejected(self, rates):
+        d = triangle_scenario_dict()
+        d["rates"] = rates
+        with pytest.raises(ScenarioError):
+            parse_scenario(d)
+
     def test_missing_topology(self):
         with pytest.raises(ScenarioError):
             parse_scenario({"phy": {}})
@@ -197,6 +205,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("update_period", float("nan")),
+        ("target_rates", [0.3, float("nan"), 0.3]),
+    ])
+    def test_non_finite_adapt_exit_code(self, tmp_path, key, value, capsys):
+        d = triangle_scenario_dict()
+        d["adapt"][key] = value
+        p = tmp_path / "bad_adapt.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main(["adapt", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error: adapt: ")
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.yaml")]) == 2

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from csma_sic import (LinkSet, NetworkTopology, Link, Node, PhyConfig,
-                      RateParams, SimConfig, Simulator, build_channel_matrix,
+from csma_sic import (LinkSet, NetworkTopology, Link, MissingGainError, Node,
+                      PhyConfig, RateParams, SimConfig, Simulator, TxTable,
+                      build_channel_matrix, check_all_feasible,
                       empirical_throughput, enumerate_feasible,
-                      expected_throughput, run, steady_state)
+                      expected_throughput, run, steady_state,
+                      warm_coeff_table)
 from csma_sic.cli import main as cli_main
 from conftest import random_topology, triangle_topology
 
@@ -28,6 +30,18 @@ def conflict_pair():
     return topo, build_channel_matrix(topo)
 
 
+def two_clusters(rng):
+    """Two random clusters, each in range of itself only, as one topology."""
+    a = random_topology(rng, int(rng.integers(1, 5)))
+    b = random_topology(rng, int(rng.integers(1, 5)))
+    shift = 3 * a.phy.radius
+    nodes = a.nodes + tuple(Node(n.id + a.n_nodes, n.x + shift, n.y)
+                            for n in b.nodes)
+    links = a.links + tuple(Link(l.id + a.n_links, l.tx + a.n_nodes,
+                                 l.rx + a.n_nodes) for l in b.links)
+    return NetworkTopology(nodes, links, a.phy)
+
+
 class TestBasicRuns:
     def test_zero_horizon(self, triangle):
         topo, channel = triangle
@@ -36,10 +50,9 @@ class TestBasicRuns:
         assert empirical_throughput(stats).tolist() == [0.0, 0.0, 0.0]
 
     def test_never_infeasible(self, triangle):
-        # check_invariants asserts independence on every activation
+        # the simulator asserts independence on every activation
         topo, channel = triangle
-        run(topo, channel, topo.phy, SimConfig(horizon=2000.0, seed=3),
-            check_invariants=True)
+        run(topo, channel, topo.phy, SimConfig(horizon=2000.0, seed=3))
 
     def test_conflict_pair_mutual_exclusion(self):
         topo, channel = conflict_pair()
@@ -85,8 +98,9 @@ class TestDeterminism:
 
 
 class TestPinnedOutputs:
-    """Outputs recorded before the simulator derived its local view from the
-    active-link mask; a refactor of the event loop must reproduce them."""
+    """Outputs recorded at earlier commits (the K=25 trajectory while the
+    simulator still decided with the table check); a refactor of the event
+    loop must reproduce them."""
 
     TRIANGLE_CSV_SHA256 = {
         1: "429c372be717e03bd998b53f042a25f71775e56228e0ba5310791a1103b62e12",
@@ -114,9 +128,22 @@ class TestPinnedOutputs:
             524, 544, 545, 546, 547, 548, 576, 577, 580, 640, 648, 672, 704,
             768, 769, 770, 771, 772, 776, 896]
 
+    def test_dense_k25_trajectory(self):
+        topo = random_topology(np.random.default_rng(7), 25)
+        sim = Simulator(topo, build_channel_matrix(topo), seed=3)
+        sim.advance(30.0)
+        assert sim.completed_total.tolist() == [
+            5, 2, 7, 5, 0, 4, 0, 4, 10, 17, 0, 4, 8, 11, 5, 7, 8, 11, 1, 12,
+            11, 1, 0, 2, 11]
+        keys = repr(sorted(sim.occupancy)).encode()
+        assert len(sim.occupancy) == 257
+        assert hashlib.sha256(keys).hexdigest() == (
+            "d7cc1f77e6c0090853d36616da2d02d036ede284295abf35c9a5366a0093e2ef")
+
 
 class TestFrontierAgreement:
-    """The simulator's local frontier equals the exact engine's frontier."""
+    """The simulator's local frontier equals the exact engine's frontier and
+    the table check on each transmitter's view."""
 
     def _assert_agree(self, topo, channel):
         family = enumerate_feasible(topo, channel)
@@ -132,6 +159,44 @@ class TestFrontierAgreement:
         for _ in range(60):
             topo = random_topology(rng, int(rng.integers(2, 7)))
             self._assert_agree(topo, build_channel_matrix(topo))
+
+    def test_table_check_on_partial_views(self):
+        # each transmitter hears only its own cluster, so its view is smaller
+        # than the active set; the frontier must still equal its table check
+        rng = np.random.default_rng(5)
+        partial = 0
+        for _ in range(30):
+            topo = two_clusters(rng)
+            channel = build_channel_matrix(topo)
+            simulator = Simulator(topo, channel)
+            coeffs = {l.tx: warm_coeff_table(topo, channel, l.tx)
+                      for l in topo.links}
+            for d in enumerate_feasible(topo, channel).sets:
+                front = simulator._frontier(d.bits)
+                for l in topo.links:
+                    txs = TxTable(l.tx)
+                    for o in topo.links:
+                        if d.contains(o.id) and (topo.in_range(o.tx, l.tx)
+                                                 or topo.in_range(o.rx, l.tx)):
+                            txs.register(o.tx, o.rx)
+                    partial += len(txs) < len(d)
+                    verdict = check_all_feasible(l.tx, l.rx, coeffs[l.tx],
+                                                 txs, topo.phy)
+                    assert bool(front >> l.id & 1) == verdict, (str(d), l.id)
+        assert partial > 0
+
+
+class TestSparseRange:
+    def test_unknown_cross_gain_raises(self):
+        # A transmitter may hear one link's transmitter and another link's
+        # receiver, both out of its range, and lack the gain between them.
+        # The sparse-network item in ROADMAP.md replaces this test once the
+        # semantics of that case are chosen.
+        topo = random_topology(np.random.default_rng(7), 25, radius=6.0,
+                               area=20.0)
+        sim = Simulator(topo, build_channel_matrix(topo))
+        with pytest.raises(MissingGainError):
+            sim.advance(200.0)
 
 
 class TestStatsConsistency:
@@ -231,6 +296,9 @@ class TestRateChanges:
             sim.set_rates([1.0, 2.0])
         with pytest.raises(ValueError):
             sim.set_rates([1.0, -1.0, 2.0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                sim.set_rates([1.0, bad, 2.0])
 
 
 class TestConfigValidation:
