@@ -150,8 +150,10 @@ def parse_scenario(data: dict) -> Scenario:
     if "capacity" in data:
         _require_keys("capacity", data["capacity"], {"x"})
         capacity_x = np.asarray(data["capacity"]["x"], dtype=float)
-        if capacity_x.shape != (k,) or np.any(capacity_x < 0):
-            raise ScenarioError("capacity: x needs one nonnegative entry per link")
+        if (capacity_x.shape != (k,)
+                or not np.all(np.isfinite(capacity_x) & (capacity_x >= 0))):
+            raise ScenarioError("capacity: x needs one finite, nonnegative "
+                                "entry per link")
 
     return Scenario(topology=topology, channel=channel, params=params,
                     sim=sim_cfg, adapt=adapt_cfg, capacity_x=capacity_x,

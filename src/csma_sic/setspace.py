@@ -196,6 +196,8 @@ def capacity_contains(x, family: FeasibleFamily, strict: bool = False):
     x = np.asarray(x, dtype=float)
     if x.shape != (family.width,) or np.any(x < 0):
         raise ValueError("rate vector must have one nonnegative entry per link")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("rate vector entries must be finite")
     v = family.vectors()  # (m, K)
     m = len(family)
     a_eq = [np.ones((1, m))]

@@ -7,8 +7,9 @@ signaling is instantaneous, so a transmitter's view is the set of ongoing
 links with an endpoint in its range, and a link may start when that view
 plus the link is independent: the verdict of the transmitter's table check
 (``localstate``) under the static channel.  Every start and end of a
-transmission re-evaluates every link's feasibility.  The run is
-deterministic given the seed, with one independent random stream per link.
+transmission suspends or resumes only the links whose verdict it flipped.
+The run is deterministic given the seed, with one independent random
+stream per link.
 """
 
 import heapq
@@ -84,6 +85,8 @@ class Simulator:
     count down when the links of ``active`` its transmitter hears, plus the
     link, are independent; all verdicts are cached as one bitmask per active
     set (``_frontier``), read through the same cache as the invariant checks.
+    Between events ``counting``, the links whose timers run (each with one
+    live expiry on the heap), equals ``_frontier(active)``.
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
@@ -96,6 +99,8 @@ class Simulator:
         params = params or RateParams.uniform(k)
         self.lam = params.lam.copy()
         self.mu = params.mu.copy()
+        if not math.isfinite(warmup) or warmup < 0:
+            raise ValueError("warmup must be finite and nonnegative")
         self.warmup = warmup
         self.record_cycles = record_cycles
 
@@ -124,7 +129,7 @@ class Simulator:
 
         self.now = 0.0
         self.active = 0
-        self.state = ["counting"] * k
+        self.counting = 0
         self.expiry = [0.0] * k
         self.remaining = [0.0] * k
         self.token = [0] * k
@@ -142,6 +147,7 @@ class Simulator:
 
         for i in range(k):
             self._fresh_backoff(i)
+        self._reevaluate()
 
     # -- protocol mechanics -------------------------------------------------
 
@@ -172,9 +178,6 @@ class Simulator:
             self._frontier_cache[mask] = front
         return front
 
-    def _feasible(self, link: int) -> bool:
-        return bool(self._frontier(self.active) >> link & 1)
-
     def _independent(self, mask: int) -> bool:
         v = self._indep_cache.get(mask)
         if v is None:
@@ -187,51 +190,34 @@ class Simulator:
         b = self.rng[link].exponential(1.0 / self.lam[link])
         self._draw[link] = b
         self._counted[link] = 0.0
-        self.token[link] += 1
-        if self._feasible(link):
-            self.state[link] = "counting"
-            self.expiry[link] = self.now + b
-            self._resumed_at[link] = self.now
-            heapq.heappush(self.heap, (self.expiry[link], _EXPIRY, link,
-                                       self.token[link]))
-        else:
-            self.state[link] = "suspended"
-            self.remaining[link] = b
+        self.remaining[link] = b
 
     def _reevaluate(self) -> None:
         front = self._frontier(self.active)
-        for i, st in enumerate(self.state):
-            if st == "transmitting":
-                continue
-            feas = front >> i & 1
-            if st == "counting" and not feas:
-                self.remaining[i] = self.expiry[i] - self.now
-                self._counted[i] += self.now - self._resumed_at[i]
-                self.token[i] += 1
-                self.state[i] = "suspended"
-            elif st == "suspended" and feas:
-                self.expiry[i] = self.now + self.remaining[i]
-                self._resumed_at[i] = self.now
-                self.token[i] += 1
-                self.state[i] = "counting"
-                heapq.heappush(self.heap, (self.expiry[i], _EXPIRY, i,
-                                           self.token[i]))
+        for i in bit_ids(self.counting & ~front):
+            self.remaining[i] = self.expiry[i] - self.now
+            self._counted[i] += self.now - self._resumed_at[i]
+            self.token[i] += 1
+        for i in bit_ids(front & ~self.counting):
+            self.expiry[i] = self.now + self.remaining[i]
+            self._resumed_at[i] = self.now
+            self.token[i] += 1
+            heapq.heappush(self.heap, (self.expiry[i], _EXPIRY, i,
+                                       self.token[i]))
+        self.counting = front
 
     def _expire(self, link: int) -> None:
-        if self.state[link] != "counting":
-            raise ProtocolError(f"expiry event for link {link} in state "
-                                f"{self.state[link]}")
-        if not self._feasible(link):
+        if not self.counting >> link & 1:
             raise ProtocolError(f"timer of link {link} expired while infeasible")
         self._accumulate(self.now)
         self.active |= 1 << link
+        self.counting &= ~(1 << link)
         if not self._independent(self.active):
             raise ProtocolError("active set left the independent-set family")
         self._counted[link] += self.now - self._resumed_at[link]
         if abs(self._counted[link] - self._draw[link]) > 1e-6:
             raise ProtocolError("backoff bookkeeping lost time across "
                                 "suspend/resume")
-        self.state[link] = "transmitting"
         self.token[link] += 1
         duration = self.rng[link].exponential(1.0 / self.mu[link])
         heapq.heappush(self.heap, (self.now + duration, _COMPLETION, link,
@@ -255,17 +241,16 @@ class Simulator:
             if t > lo:
                 dt = t - lo
                 self.occupancy[self.active] = self.occupancy.get(self.active, 0.0) + dt
-                m = self.active
-                while m:
-                    i = (m & -m).bit_length() - 1
+                for i in bit_ids(self.active):
                     self.busy[i] += dt
-                    m &= m - 1
             self.last_t = t
 
     # -- driving ------------------------------------------------------------
 
     def advance(self, until: float) -> None:
         """Process all events up to the given simulation time."""
+        if not math.isfinite(until) or until < self.now:
+            raise ValueError("advance needs a finite time no earlier than now")
         while self.heap and self.heap[0][0] <= until:
             t, rank, link, token = heapq.heappop(self.heap)
             if token != self.token[link]:

@@ -129,6 +129,13 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario(d)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_capacity_rejected(self, bad):
+        d = triangle_scenario_dict()
+        d["capacity"] = {"x": [bad, 0.0, 0.0]}
+        with pytest.raises(ScenarioError):
+            parse_scenario(d)
+
     def test_missing_topology(self):
         with pytest.raises(ScenarioError):
             parse_scenario({"phy": {}})

@@ -212,6 +212,9 @@ class TestCapacityRegion:
             capacity_contains([0.5, 0.5], fam)
         with pytest.raises(ValueError):
             capacity_contains([-0.1, 0.5, 0.5], fam)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="must be finite"):
+                capacity_contains([bad, 0.0, 0.0], fam)
 
     def test_lp_agrees_with_independent_certificates(self):
         rng = np.random.default_rng(11)

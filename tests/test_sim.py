@@ -14,6 +14,8 @@ from csma_sic import (LinkSet, NetworkTopology, Link, MissingGainError, Node,
                       expected_throughput, run, steady_state,
                       warm_coeff_table)
 from csma_sic.cli import main as cli_main
+from csma_sic.setspace import bit_ids
+from csma_sic.sim import _EXPIRY
 from conftest import random_topology, triangle_topology
 
 TRIANGLE_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "triangle.yaml"
@@ -186,6 +188,35 @@ class TestFrontierAgreement:
         assert partial > 0
 
 
+class TestTimerState:
+    """Between events the running timers are exactly the frontier of the
+    active set, and each has exactly one live expiry on the heap."""
+
+    def _step_and_check(self, topo, channel, seed, step, horizon):
+        sim = Simulator(topo, channel, seed=seed)
+        for t in np.arange(step, horizon + step / 2, step):
+            sim.advance(float(t))
+            assert sim.counting == sim._frontier(sim.active), sim.now
+            live = sorted(link for _, rank, link, token in sim.heap
+                          if rank == _EXPIRY and token == sim.token[link])
+            assert live == list(bit_ids(sim.counting)), sim.now
+
+    def test_triangle(self, triangle):
+        self._step_and_check(*triangle, seed=1, step=0.05, horizon=200.0)
+
+    def test_random_topologies(self):
+        rng = np.random.default_rng(3)
+        for seed in range(10):
+            topo = random_topology(rng, int(rng.integers(2, 9)))
+            self._step_and_check(topo, build_channel_matrix(topo), seed,
+                                 step=0.1, horizon=50.0)
+
+    def test_two_clusters(self):
+        topo = two_clusters(np.random.default_rng(5))
+        self._step_and_check(topo, build_channel_matrix(topo), seed=2,
+                             step=0.1, horizon=50.0)
+
+
 class TestSparseRange:
     def test_unknown_cross_gain_raises(self):
         # A transmitter may hear one link's transmitter and another link's
@@ -314,6 +345,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SimConfig(horizon=10.0, warmup=float("nan"))
         assert SimConfig(horizon=10.0).warmup == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("warmup", [float("nan"), float("inf"), -5.0])
+    def test_simulator_warmup_bounds(self, triangle, warmup):
+        with pytest.raises(ValueError):
+            Simulator(*triangle, warmup=warmup)
+
+    def test_advance_never_goes_back(self, triangle):
+        sim = Simulator(*triangle, seed=4)
+        sim.advance(100.0)
+        before = sim.stats()
+        for bad in (10.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                sim.advance(bad)
+        sim.advance(100.0)
+        after = sim.stats()
+        assert sim.now == after.measured_time == 100.0
+        assert after.occupancy == before.occupancy
+        assert sum(after.occupancy.values()) == pytest.approx(100.0)
 
     def test_solo_infeasible_link_rejected(self):
         phy = PhyConfig(noise_power=2.0, sinr_threshold=2.0,
