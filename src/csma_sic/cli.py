@@ -45,9 +45,6 @@ def _analyze_rows(scn: Scenario):
 def cmd_analyze(scn: Scenario, out=None) -> int:
     family, q, tau, rows = _analyze_rows(scn)
     print(f"feasible sets: {len(family)}")
-    if q.unreachable:
-        print(f"warning: {len(q.unreachable)} feasible sets unreachable from "
-              f"the empty set: {[str(s) for s in q.unreachable]}")
     for d, p in sorted(q.probs.items()):
         print(f"Q{d} = {_fmt(p)}")
     for i, t in enumerate(tau):

@@ -6,12 +6,13 @@ The chain is reversible with a product-form stationary law: the weight of
 a state is the product of lambda_i / mu_i over its active links.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-# ``eta`` is not called here; perfbench/run.py wraps ``ctmc.eta`` to count calls.
+# ``eta`` and ``reachable_subfamily`` are not called here; perfbench/run.py
+# wraps ``ctmc.eta`` and ``ctmc.reachable_subfamily`` to count calls.
 from .setspace import (FeasibleFamily, LinkSet, bit_ids, eta,  # noqa: F401
                        reachable_subfamily)
 
@@ -46,10 +47,9 @@ class RateParams:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Stationary probabilities over the reachable feasible sets."""
+    """Stationary probabilities over the feasible sets, the chain's states."""
 
     probs: dict  # LinkSet -> probability
-    unreachable: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         total = sum(self.probs.values())
@@ -85,22 +85,18 @@ def transition_rates(family: FeasibleFamily, params: RateParams) -> dict:
 def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
     """Product-form stationary distribution, normalized in log space.
 
-    Probability mass lives on the sets reachable from the empty set by
-    single-link additions (the chain's actual state space); any other
-    feasible sets are reported as unreachable and carry zero probability.
+    The chain's state space is the family itself: a family is downward
+    closed, so every member is reachable from the empty set by single-link
+    additions, and every member carries mass.
     """
-    reachable, unreachable = reachable_subfamily(family)
     logw = np.array([
         sum(params.r[i] - np.log(params.mu[i]) for i in d.ids())
-        for d in reachable
+        for d in family.sets
     ])
     if not np.all(np.isfinite(logw)):
         raise ValueError("non-finite state weight; |r| too large")
     probs = np.exp(logw - logsumexp(logw))
-    return SteadyState(
-        probs={d: float(p) for d, p in zip(reachable, probs)},
-        unreachable=unreachable,
-    )
+    return SteadyState(probs={d: float(p) for d, p in zip(family.sets, probs)})
 
 
 def global_balance_residual(family: FeasibleFamily, params: RateParams,

@@ -36,21 +36,26 @@ class PhyConfig:
     path_loss_exponent: float = 3.0
 
     def __post_init__(self):
-        if self.tx_power <= 0:
-            raise ValueError("tx_power must be positive")
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be nonnegative")
+        if not (math.isfinite(self.tx_power) and self.tx_power > 0):
+            raise ValueError("tx_power must be finite and positive")
+        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise ValueError("noise_power must be finite and nonnegative")
         betas = np.atleast_1d(np.asarray(self.sinr_threshold, dtype=float))
-        if np.any(betas <= 0):
-            raise ValueError("sinr_threshold must be positive")
+        if not np.all(np.isfinite(betas) & (betas > 0)):
+            raise ValueError("sinr_threshold must be finite and positive")
         if isinstance(self.sinr_threshold, (list, np.ndarray)):
             object.__setattr__(self, "sinr_threshold", tuple(float(b) for b in betas))
         if not 0.0 <= self.cancel_fraction <= 1.0:
             raise ValueError("cancel_fraction must lie in [0, 1]")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.far_interference < 0:
-            raise ValueError("far_interference must be nonnegative")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be finite and positive")
+        if not (math.isfinite(self.far_interference)
+                and self.far_interference >= 0):
+            raise ValueError("far_interference must be finite and nonnegative")
+        # in_range_gain relies on a strictly decreasing power law
+        if not (math.isfinite(self.path_loss_exponent)
+                and self.path_loss_exponent > 0):
+            raise ValueError("path_loss_exponent must be finite and positive")
 
     def beta_for(self, link_id: int) -> float:
         """SINR threshold applying to the given link."""
@@ -105,6 +110,8 @@ class NetworkTopology:
             raise ValueError("node ids must be unique and dense from 0")
         if sorted(l.id for l in links) != list(range(len(links))):
             raise ValueError("link ids must be unique and dense from 0")
+        if not all(math.isfinite(n.x) and math.isfinite(n.y) for n in nodes):
+            raise ValueError("node positions must be finite")
         pos = {(n.x, n.y) for n in nodes}
         if len(pos) != len(nodes):
             raise ValueError("no two nodes may share a position")

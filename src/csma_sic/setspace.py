@@ -2,10 +2,13 @@
 
 A subset of links is independent when no node is reused across its links
 and every receiver can decode its own signal under staged SIC given all
-in-range active transmitters.  SIC feasibility is not monotone (a strong
-added signal can rescue a weak one), so enumeration is always exhaustive
-rather than pruned.  A family caches one frontier per member, the bitmask
-of links that can join it, and the chain's moves are read from it.
+in-range active transmitters.  Dropping a link removes one decode stage and
+can only lower the interference at the stages left, the half-duplex rule is
+pairwise and the range rule per link, so every subset of an independent set
+is independent.  Enumeration therefore grows the family from the empty set,
+and a family must be downward closed.  It caches one frontier per member,
+the bitmask of links that can join it, and the chain's moves are read from
+it.
 """
 
 from dataclasses import dataclass
@@ -16,7 +19,7 @@ from scipy.optimize import linprog
 
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig, sic_decodable
 
-#: Default upper bound on link count for exhaustive enumeration.
+#: Default upper bound on link count for enumeration.
 ENUMERATION_CAP = 20
 
 #: Feasibility tolerance for the capacity-region linear program.
@@ -24,7 +27,7 @@ LP_TOL = 1e-9
 
 
 class EnumerationCapError(ValueError):
-    """Link count exceeds the exhaustive-enumeration cap."""
+    """Link count exceeds the enumeration cap."""
 
 
 def bit_ids(bits: int):
@@ -76,19 +79,29 @@ class LinkSet:
 
 @dataclass(frozen=True)
 class FeasibleFamily:
-    """All independent sets of a topology, sorted by bit pattern."""
+    """All independent sets of a topology, sorted by bit pattern.
+
+    The members are distinct and downward closed: the empty set is one,
+    and dropping any link from a member gives a member.  So every member is
+    reachable from the empty set one link at a time.
+    """
 
     sets: tuple
     width: int
 
     def __post_init__(self):
         ordered = tuple(sorted(self.sets))
+        index = {s.bits: k for k, s in enumerate(ordered)}
         object.__setattr__(self, "sets", ordered)
-        object.__setattr__(self, "_index", {s.bits: k for k, s in enumerate(ordered)})
-        if not ordered or ordered[0].bits != 0:
-            raise ValueError("a feasible family must contain the empty set")
+        object.__setattr__(self, "_index", index)
+        if len(index) != len(ordered):
+            raise ValueError("a family's members must be distinct")
         if any(s.width != self.width for s in ordered):
             raise ValueError("every member must have the family's width")
+        if not index or any(bits & ~(1 << i) not in index
+                            for bits in index for i in bit_ids(bits)):
+            raise ValueError("a feasible family must be nonempty and closed "
+                             "under dropping a link")
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -149,10 +162,13 @@ def eta(d: LinkSet, family: FeasibleFamily) -> tuple:
 def enumerate_feasible(topology: NetworkTopology, channel: ChannelMatrix,
                        phy: PhyConfig = None,
                        cap: int = ENUMERATION_CAP) -> FeasibleFamily:
-    """Enumerate all independent sets by testing every one of the 2**K subsets.
+    """Enumerate all independent sets by extension from the empty set.
 
-    Feasibility is not hereditary, so no pruning is sound.  The sets the
-    protocol's Markov chain can visit are split off by ``reachable_subfamily``.
+    Dropping a link removes one decode stage and can only lower the
+    interference at the stages left, the half-duplex rule is pairwise and
+    the range rule per link, so every subset of an independent set is
+    independent.  Hence S + j, for j above S's highest link i, is tested
+    only if j also extends S - i.
     """
     k = topology.n_links
     if k > cap:
@@ -160,15 +176,24 @@ def enumerate_feasible(topology: NetworkTopology, channel: ChannelMatrix,
             f"{k} links exceeds the enumeration cap of {cap}; use the simulator"
         )
     phy = phy or topology.phy
-    sets = [
-        LinkSet(bits, k) for bits in range(1 << k)
-        if is_independent(LinkSet(bits, k), topology, channel, phy)
-    ]
+    sets = [LinkSet(0, k)]
+    todo = [(0, range(k))]
+    while todo:
+        bits, later = todo.pop()
+        children = [i for i in later
+                    if is_independent(LinkSet(bits | 1 << i, k), topology,
+                                      channel, phy)]
+        for n, i in enumerate(children):
+            sets.append(LinkSet(bits | 1 << i, k))
+            todo.append((bits | 1 << i, children[n + 1:]))
     return FeasibleFamily(tuple(sets), k)
 
 
 def reachable_subfamily(family: FeasibleFamily) -> tuple:
-    """Split a family into (reachable-from-empty sets, unreachable sets)."""
+    """Split a family into (reachable-from-empty sets, unreachable sets).
+
+    A family is downward closed, so the second part is always empty.
+    """
     frontier = family.frontier
     seen = {0}
     todo = [0]

@@ -133,13 +133,3 @@ class TestNumericalStability:
         assert global_balance_residual(fam, params, ss) <= 1e-10
         assert detailed_balance_residual(fam, params, ss) <= 1e-12
 
-
-class TestUnreachableMass:
-    def test_isolated_set_gets_zero_probability(self):
-        k = 2
-        sets = (LinkSet(0, k), LinkSet.from_ids([0, 1], k))
-        fam = FeasibleFamily(sets, k)
-        ss = steady_state(fam, RateParams.uniform(k))
-        assert ss.prob(LinkSet(0, k)) == pytest.approx(1.0)
-        assert ss.prob(LinkSet.from_ids([0, 1], k)) == 0.0
-        assert LinkSet.from_ids([0, 1], k) in ss.unreachable

@@ -179,6 +179,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             PhyConfig(radius=0.0)
 
+    @pytest.mark.parametrize("field", ["tx_power", "noise_power",
+                                       "sinr_threshold", "far_interference",
+                                       "radius", "path_loss_exponent"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_phy_non_finite_rejected(self, field, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PhyConfig(**{field: bad})
+
+    def test_phy_non_finite_per_link_threshold_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            PhyConfig(sinr_threshold=(1.0, math.nan))
+
+    @pytest.mark.parametrize("exponent", [0.0, -1.0])
+    def test_phy_path_loss_must_decrease(self, exponent):
+        # in_range_gain assumes gain strictly decreases with distance
+        with pytest.raises(ValueError, match="path_loss_exponent"):
+            PhyConfig(path_loss_exponent=exponent)
+
+    @pytest.mark.parametrize("pos", [(math.nan, 0.0), (0.0, math.inf),
+                                     (-math.inf, 0.0)])
+    def test_topology_non_finite_position_rejected(self, pos):
+        phy = PhyConfig(radius=10.0)
+        nodes = ((0, 0.0, 0.0), (1, 1.0, 0.0), (2, *pos))
+        with pytest.raises(ValueError, match="finite"):
+            NetworkTopology(nodes, ((0, 0, 1),), phy)
+
     def test_topology_invariants(self):
         phy = PhyConfig(radius=10.0)
         with pytest.raises(ValueError):  # self loop

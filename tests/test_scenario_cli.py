@@ -225,6 +225,40 @@ class TestCli:
         assert main(["adapt", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error: adapt: ")
 
+    @pytest.mark.parametrize("key, value", [
+        ("tx_power", float("nan")),
+        ("noise_power", float("nan")),
+        ("noise_power", float("inf")),
+        ("sinr_threshold", float("nan")),
+        ("sinr_threshold", [2.0, float("nan"), 2.0]),
+        ("far_interference", float("nan")),
+        ("radius", float("nan")),
+        ("path_loss_exponent", float("nan")),
+        ("path_loss_exponent", 0.0),
+        ("path_loss_exponent", -3.0),
+    ])
+    @pytest.mark.parametrize("argv", [["analyze"],
+                                      ["capacity", "--x", "0.9,0.9,0.9"]])
+    def test_bad_phy_exit_code(self, tmp_path, key, value, argv, capsys):
+        d = triangle_scenario_dict()
+        d["phy"][key] = value
+        p = tmp_path / "bad_phy.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main([argv[0], str(p), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: phy: ")
+        assert captured.out == ""
+
+    def test_non_finite_position_exit_code(self, tmp_path, capsys):
+        d = triangle_scenario_dict()
+        d["topology"]["nodes"][1]["pos"] = [float("nan"), 0.0]
+        p = tmp_path / "bad_pos.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main(["analyze", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: topology: ")
+        assert captured.out == ""
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.yaml")]) == 2
 

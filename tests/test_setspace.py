@@ -1,5 +1,7 @@
 """Independent-set enumeration and the capacity-region membership test."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,10 +68,16 @@ class TestTriangleFamily:
         assert order == fam.sets
 
 
-class TestNonHereditary:
+def exhaustive_bits(topo, channel):
+    """Reference enumeration: test every one of the 2**K subsets."""
+    k = topo.n_links
+    return [b for b in range(1 << k) if is_independent(LinkSet(b, k), topo, channel)]
+
+
+class TestDownwardClosure:
     def test_superset_of_feasible_can_fail(self):
-        # feasibility does not grow monotonically: a feasible pair plus one
-        # more link can break, so enumeration cannot prune upward
+        # the family is not closed upward: a feasible pair plus one more
+        # link can break, so it is not simply every subset
         rng = np.random.default_rng(3)
         found = False
         for _ in range(300):
@@ -94,20 +102,44 @@ class TestNonHereditary:
                 for i in s.ids():
                     assert s.remove(i) in fam
 
-    def test_unreachable_states_are_detected(self):
-        # hand-built family with an isolated feasible set
+    def test_extension_matches_exhaustive(self):
+        # full and partial range, every cancellation regime, per-link
+        # thresholds and out-of-range interference
+        rng = np.random.default_rng(17)
+        largest = 0
+        for k in range(2, 10):
+            for geometry in ({}, {"radius": 6.0, "area": 20.0}):
+                for z in (0.0, 0.3, 0.7, 1.0):
+                    topo = random_topology(rng, k, cancel_fraction=z, **geometry)
+                    phy = replace(
+                        topo.phy,
+                        sinr_threshold=tuple(rng.uniform(0.5, 2.0, size=k)),
+                        far_interference=float(rng.uniform(0.001, 0.01)),
+                    )
+                    topo = replace(topo, phy=phy)
+                    channel = build_channel_matrix(topo)
+                    fam = enumerate_feasible(topo, channel)
+                    assert [s.bits for s in fam.sets] == exhaustive_bits(topo, channel)
+                    largest = max(largest, max(len(s) for s in fam.sets))
+        assert largest >= 4
+
+    def test_family_must_be_downward_closed(self):
+        # {0,1} without {0} and {1} is a set no single-link move reaches;
+        # the family with no members lacks the empty set
         k = 2
-        sets = (LinkSet(0, k), LinkSet.from_ids([0, 1], k))
-        fam = FeasibleFamily(sets, k)
-        order, unreachable = reachable_subfamily(fam)
-        assert order == (LinkSet(0, k),)
-        assert unreachable == (LinkSet.from_ids([0, 1], k),)
+        for sets in ((LinkSet(0, k), LinkSet.from_ids([0, 1], k)), ()):
+            with pytest.raises(ValueError, match="closed"):
+                FeasibleFamily(sets, k)
 
 
 class TestFamilyConstruction:
     def test_member_width_must_match(self):
         with pytest.raises(ValueError):
             FeasibleFamily((LinkSet(0, 2), LinkSet(0b100, 3)), 2)
+
+    def test_duplicate_members_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            FeasibleFamily((LinkSet(0, 2), LinkSet(1, 2), LinkSet(1, 2)), 2)
 
 
 class TestEnumerationCap:
