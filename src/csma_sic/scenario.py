@@ -104,17 +104,17 @@ def parse_scenario(data: dict) -> Scenario:
     _require_keys("rates", rates_data, _RATES_KEYS)
     if "r" in rates_data and "lambda" in rates_data:
         raise ScenarioError("rates: give either 'r' or 'lambda', not both")
-    if "lambda" in rates_data:
-        lam = np.asarray(rates_data["lambda"], dtype=float)
-        if np.any(lam <= 0):
-            raise ScenarioError("rates: lambda entries must be positive")
-        r = np.log(lam)
-    else:
-        r = np.asarray(rates_data.get("r", np.zeros(k)), dtype=float)
     mu = rates_data.get("mu")
     try:
+        if "lambda" in rates_data:
+            lam = np.asarray(rates_data["lambda"], dtype=float)
+            if np.any(lam <= 0):
+                raise ValueError("lambda entries must be positive")
+            r = np.log(lam)
+        else:
+            r = np.asarray(rates_data.get("r", np.zeros(k)), dtype=float)
         params = RateParams(r, None if mu is None else np.asarray(mu, float))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"rates: {exc}")
     if params.r.shape != (k,):
         raise ScenarioError("rates: need one entry per link")
@@ -124,12 +124,12 @@ def parse_scenario(data: dict) -> Scenario:
     try:
         sim_cfg = SimConfig(
             horizon=float(sim_data.get("horizon", 1e5)),
-            seed=int(sim_data.get("seed", 0)),
+            seed=sim_data.get("seed", 0),
             params=params,
             warmup=None if sim_data.get("warmup") is None
             else float(sim_data["warmup"]),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"sim: {exc}")
 
     adapt_cfg = None
@@ -149,7 +149,10 @@ def parse_scenario(data: dict) -> Scenario:
     capacity_x = None
     if "capacity" in data:
         _require_keys("capacity", data["capacity"], {"x"})
-        capacity_x = np.asarray(data["capacity"]["x"], dtype=float)
+        try:
+            capacity_x = np.asarray(data["capacity"].get("x"), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"capacity: x: {exc}")
         if (capacity_x.shape != (k,)
                 or not np.all(np.isfinite(capacity_x) & (capacity_x >= 0))):
             raise ScenarioError("capacity: x needs one finite, nonnegative "

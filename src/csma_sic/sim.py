@@ -6,14 +6,18 @@ its remaining time preserved) once it becomes feasible again.  Control
 signaling is instantaneous, so a transmitter's view is the set of ongoing
 links with an endpoint in its range, and a link may start when that view
 plus the link is independent: the verdict of the transmitter's table check
-(``localstate``) under the static channel.  Every start and end of a
-transmission suspends or resumes only the links whose verdict it flipped.
+(``localstate``) under the static channel.  The verdicts for one active
+set are cached as a bitmask; a new set's bitmask is bounded by those of
+the cached sets one link away, so only the links they leave open are
+judged.  Every start and end of a transmission suspends or resumes only
+the links whose verdict it flipped.
 The run is deterministic given the seed, with one independent random
 stream per link.
 """
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +46,9 @@ class SimConfig:
     warmup: float = None
 
     def __post_init__(self):
+        if (not isinstance(self.seed, numbers.Integral)
+                or isinstance(self.seed, bool) or self.seed < 0):
+            raise ValueError("seed must be a nonnegative integer")
         if not math.isfinite(self.horizon) or self.horizon < 0:
             raise ValueError("horizon must be finite and nonnegative")
         warmup = 0.1 * self.horizon if self.warmup is None else self.warmup
@@ -85,6 +92,8 @@ class Simulator:
     count down when the links of ``active`` its transmitter hears, plus the
     link, are independent; all verdicts are cached as one bitmask per active
     set (``_frontier``), read through the same cache as the invariant checks.
+    A miss reuses the cached bitmasks of the sets one link away, the previous
+    active set among them, and judges only the links they leave undecided.
     Between events ``counting``, the links whose timers run (each with one
     live expiry on the heap), equals ``_frontier(active)``.
     """
@@ -159,11 +168,26 @@ class Simulator:
         self.lam = lam.copy()
 
     def _frontier(self, mask: int) -> int:
-        """Bitmask of the links outside ``mask`` that may start transmitting."""
-        front = self._frontier_cache.get(mask)
+        """Bitmask of the links outside ``mask`` that may start transmitting.
+
+        A view only grows with the mask and independence is downward closed,
+        so a link outside the cached frontier of ``mask`` minus one link
+        stays out, and one inside the cached frontier of ``mask`` plus one
+        link stays in.  Only the links those leave undecided are judged.
+        """
+        cache = self._frontier_cache
+        front = cache.get(mask)
         if front is None:
-            front = 0
             links = self.topology.links
+            front, maybe = 0, ~mask
+            for l in links:
+                near = cache.get(mask ^ 1 << l.id)
+                if near is not None:
+                    if mask >> l.id & 1:
+                        maybe &= near
+                    else:
+                        front |= near
+            undecided = maybe & ~front
             for l in links:
                 if mask >> l.id & 1:
                     continue
@@ -173,9 +197,9 @@ class Simulator:
                     t, r = (links[next(bit_ids(view & m))] for m in (far_tx, far_rx))
                     raise MissingGainError(f"node {l.tx} has no gain estimate "
                                            f"for pair ({t.tx}, {r.rx})")
-                if self._independent(view):
+                if undecided >> l.id & 1 and self._independent(view):
                     front |= 1 << l.id
-            self._frontier_cache[mask] = front
+            cache[mask] = front
         return front
 
     def _independent(self, mask: int) -> bool:

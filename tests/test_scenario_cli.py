@@ -259,6 +259,48 @@ class TestCli:
         assert captured.err.startswith("error: topology: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("section, value", [
+        ("sim", {"seed": None}),
+        ("sim", {"horizon": None}),
+        ("sim", {"seed": [1]}),
+        ("sim", {"warmup": [1.0]}),
+        ("capacity", {}),
+        ("capacity", {"x": "abc"}),
+        ("rates", {"r": "abc"}),
+        ("rates", {"lambda": "abc"}),
+    ])
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "capacity",
+                                         "adapt"])
+    def test_malformed_section_exit_code(self, tmp_path, section, value,
+                                         command, capsys):
+        d = triangle_scenario_dict()
+        d[section] = value
+        p = tmp_path / "malformed.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main([command, str(p), "--horizon", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {section}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("seed", [1.7, True, -3, "5"])
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_bad_seed_exit_code(self, tmp_path, seed, command, capsys):
+        d = triangle_scenario_dict()
+        d["sim"]["seed"] = seed
+        p = tmp_path / "bad_seed.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main([command, str(p), "--horizon", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: sim: seed must be a nonnegative "
+                                "integer\n")
+        assert captured.out == ""
+
+    def test_negative_seed_override_exit_code(self, scenario_path, capsys):
+        assert main(["simulate", str(scenario_path), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a nonnegative integer\n"
+        assert captured.out == ""
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.yaml")]) == 2
 

@@ -11,14 +11,16 @@ from csma_sic import (LinkSet, NetworkTopology, Link, MissingGainError, Node,
                       PhyConfig, RateParams, SimConfig, Simulator, TxTable,
                       build_channel_matrix, check_all_feasible,
                       empirical_throughput, enumerate_feasible,
-                      expected_throughput, run, steady_state,
-                      warm_coeff_table)
+                      expected_throughput, load_scenario, run,
+                      steady_state, warm_coeff_table)
 from csma_sic.cli import main as cli_main
 from csma_sic.setspace import bit_ids
-from csma_sic.sim import _EXPIRY
+from csma_sic.sim import _EXPIRY, ProtocolError
 from conftest import random_topology, triangle_topology
 
-TRIANGLE_YAML = Path(__file__).resolve().parent.parent / "scenarios" / "triangle.yaml"
+ROOT = Path(__file__).resolve().parent.parent
+TRIANGLE_YAML = ROOT / "scenarios" / "triangle.yaml"
+PERFBENCH_SCENARIOS = ROOT / "perfbench" / "scenarios"
 
 
 def conflict_pair():
@@ -117,6 +119,24 @@ class TestPinnedOutputs:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.TRIANGLE_CSV_SHA256[seed]
 
+    # (scenario, command) -> CSV sha256 at seed 1, with the scenario's horizon
+    PERFBENCH_CSV_SHA256 = {
+        ("spread-k12", "simulate"):
+            "0ca20c1c6bec328a3e17e52d6afac7bd6025d5f3525dd607827dda10e867f346",
+        ("spread-k12", "adapt"):
+            "0191620d0c80ec28fb9856bebb3d126bfde746187a989e6cf8c2f110bbc2371d",
+        ("dense-k25", "simulate"):
+            "5d7eb4dfe3c8a3266b88ece8983b8f07d5a9025f973c58c6648c00564e19c8ad",
+    }
+
+    @pytest.mark.parametrize("name, command", sorted(PERFBENCH_CSV_SHA256))
+    def test_perfbench_csv(self, tmp_path, name, command):
+        out = tmp_path / "out.csv"
+        assert cli_main([command, str(PERFBENCH_SCENARIOS / f"{name}.yaml"),
+                         "--seed", "1", "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.PERFBENCH_CSV_SHA256[name, command]
+
     def test_random_topology_trajectory(self):
         topo = random_topology(np.random.default_rng(7), 10)
         sim = Simulator(topo, build_channel_matrix(topo), seed=3)
@@ -188,6 +208,44 @@ class TestFrontierAgreement:
         assert partial > 0
 
 
+class TestBoundedMiss:
+    """A frontier built from the cached frontiers of its one-link neighbours
+    equals the frontier judged link by link from an empty cache."""
+
+    def _assert_cache_exact(self, topo, channel, seed, horizon):
+        sim = Simulator(topo, channel, seed=seed)
+        sim.advance(horizon)
+        assert len(sim._frontier_cache) > 1
+        fresh = Simulator(topo, channel)
+        for mask, front in sim._frontier_cache.items():
+            fresh._frontier_cache.clear()
+            assert fresh._frontier(mask) == front, mask
+
+    def test_random_topologies(self):
+        rng = np.random.default_rng(41)
+        for seed in range(8):
+            topo = random_topology(rng, int(rng.integers(4, 17)))
+            self._assert_cache_exact(topo, build_channel_matrix(topo), seed,
+                                     horizon=20.0)
+
+    def test_dense_k25(self):
+        topo = random_topology(np.random.default_rng(7), 25)
+        self._assert_cache_exact(topo, build_channel_matrix(topo), 3,
+                                 horizon=30.0)
+
+    def test_two_clusters(self):
+        rng = np.random.default_rng(5)
+        for seed in range(5):
+            topo = two_clusters(rng)
+            self._assert_cache_exact(topo, build_channel_matrix(topo), seed,
+                                     horizon=50.0)
+
+    def test_spread_k12(self):
+        scn = load_scenario(PERFBENCH_SCENARIOS / "spread-k12.yaml")
+        self._assert_cache_exact(scn.topology, scn.channel, 1,
+                                 horizon=scn.sim.horizon)
+
+
 class TestTimerState:
     """Between events the running timers are exactly the frontier of the
     active set, and each has exactly one live expiry on the heap."""
@@ -226,8 +284,53 @@ class TestSparseRange:
         topo = random_topology(np.random.default_rng(7), 25, radius=6.0,
                                area=20.0)
         sim = Simulator(topo, build_channel_matrix(topo))
-        with pytest.raises(MissingGainError):
+        with pytest.raises(MissingGainError) as info:
             sim.advance(200.0)
+        assert info.value.args[0] == ("node 22 has no gain estimate for "
+                                      "pair (38, 37)")
+        assert sim.now == 0.2002304723381515
+
+    # rng seed -> (exception, message, time of the failing event), recorded
+    # at an earlier commit; the sparse item replaces these with it
+    SPARSE_FAILURES = {
+        0: (MissingGainError, "node 42 has no gain estimate for pair (36, 19)",
+            0.5389607643422505),
+        1: (MissingGainError, "node 18 has no gain estimate for pair (6, 17)",
+            0.2631834633301837),
+        2: (MissingGainError, "node 40 has no gain estimate for pair (18, 45)",
+            0.07930058955998653),
+        3: (MissingGainError, "node 6 has no gain estimate for pair (2, 23)",
+            0.07907741976783766),
+        4: (MissingGainError, "node 36 has no gain estimate for pair (22, 35)",
+            0.06597764775362909),
+        5: (MissingGainError, "node 0 has no gain estimate for pair (22, 27)",
+            0.4128575260593662),
+        6: (MissingGainError, "node 30 has no gain estimate for pair (14, 19)",
+            0.43014836818442687),
+        7: (MissingGainError, "node 24 has no gain estimate for pair (12, 41)",
+            0.14518051415411992),
+        8: (MissingGainError, "node 22 has no gain estimate for pair (28, 19)",
+            0.4102715644814342),
+        9: (MissingGainError, "node 12 has no gain estimate for pair (10, 27)",
+            1.5270989363834828),
+        10: (MissingGainError, "node 18 has no gain estimate for pair (2, 25)",
+             0.1620221572694008),
+        11: (ProtocolError, "active set left the independent-set family",
+             0.2532645996068552),
+    }
+
+    @pytest.mark.parametrize("s", sorted(SPARSE_FAILURES))
+    def test_pinned_failures(self, s):
+        exc, message, now = self.SPARSE_FAILURES[s]
+        rng = np.random.default_rng(s)
+        topo = random_topology(rng, int(rng.integers(8, 26)), radius=6.0,
+                               area=20.0)
+        sim = Simulator(topo, build_channel_matrix(topo), seed=s)
+        with pytest.raises(exc) as info:
+            sim.advance(200.0)
+        assert info.type is exc
+        assert info.value.args[0] == message
+        assert sim.now == now
 
 
 class TestStatsConsistency:
@@ -363,6 +466,15 @@ class TestConfigValidation:
         assert sim.now == after.measured_time == 100.0
         assert after.occupancy == before.occupancy
         assert sum(after.occupancy.values()) == pytest.approx(100.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.7, 1.0, True, "5", None])
+    def test_seed_must_be_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative "
+                                             "integer"):
+            SimConfig(horizon=10.0, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert SimConfig(horizon=10.0, seed=np.int64(5)).seed == 5
 
     def test_solo_infeasible_link_rejected(self):
         phy = PhyConfig(noise_power=2.0, sinr_threshold=2.0,
