@@ -14,7 +14,8 @@ from .localstate import (CoeffTable, MissingGainError, TxTable,
                          overhear_cts, overhear_rts, warm_coeff_table)
 from .setspace import (EnumerationCapError, FeasibleFamily, LinkSet,
                        capacity_contains, enumerate_feasible, eta,
-                       is_independent, reachable_subfamily)
+                       independence_oracle, is_independent,
+                       reachable_subfamily)
 from .ctmc import (RateParams, SteadyState, detailed_balance_residual,
                    expected_throughput, global_balance_residual, steady_state,
                    transition_rates)

@@ -7,6 +7,7 @@ Driving r this way steers the stationary throughput toward any target
 inside the capacity region.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,17 +34,21 @@ class AdaptConfig:
         if not np.all(np.isfinite(x)) or np.any(x < 0):
             raise ValueError("target rates must be finite and nonnegative")
         object.__setattr__(self, "target_rates", x)
-        for name in ("update_period", "max_updates", "step_a0", "step_i0",
-                     "r_cap"):
+        for name in ("update_period", "step_a0", "step_i0", "r_cap"):
             value = float(getattr(self, name))
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
+        if (not isinstance(self.max_updates, numbers.Integral)
+                or isinstance(self.max_updates, bool)):
+            raise ValueError("max_updates must be an integer")
         object.__setattr__(self, "max_updates", int(self.max_updates))
         if self.update_period <= 0 or self.max_updates <= 0:
             raise ValueError("update_period and max_updates must be positive")
         if self.step_a0 <= 0 or self.step_i0 <= 0:
             raise ValueError("step schedule parameters must be positive")
+        if self.r_cap <= 0:
+            raise ValueError("r_cap must be positive")
         if self.arrivals not in ("deterministic", "poisson"):
             raise ValueError("arrivals must be 'deterministic' or 'poisson'")
 
@@ -79,6 +84,8 @@ def update_rates(r_prev, alpha: float, lambda_emp, tau_emp,
     """One projected-gradient step on the aggressiveness exponents."""
     if alpha <= 0:
         raise ValueError("step size must be positive")
+    if not r_cap > 0:
+        raise ValueError("r_cap must be positive")
     r_prev = np.asarray(r_prev, dtype=float)
     step = r_prev + alpha * (np.asarray(lambda_emp, float) - np.asarray(tau_emp, float))
     return np.clip(step, 0.0, r_cap)

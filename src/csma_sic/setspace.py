@@ -152,6 +152,60 @@ def is_independent(d: LinkSet, topology: NetworkTopology, channel: ChannelMatrix
     return True
 
 
+def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix,
+                        phy: PhyConfig = None):
+    """``is_independent`` compiled for one topology, as a test on a bitmask.
+
+    What the definition looks up on every call is fixed by the topology:
+    for each link, the other links that share a node with it (the
+    half-duplex rule), and at its receiver the gains of the links whose
+    transmitter is in range, once in ascending transmitter-id order (the
+    interference sum) and once in decode order up to the link itself
+    (strongest first, ties by transmitter id), each with its link's
+    threshold.  A link's own transmitter is always in range of its
+    receiver, since ``NetworkTopology`` requires it.  The returned function
+    makes the same float operations in the same order as ``sic_decodable``,
+    so its verdict equals ``is_independent`` bit for bit.
+    """
+    phy = phy or topology.phy
+    links = topology.links
+    noise_plus_far, cancel = phy.noise_plus_far, phy.cancel_fraction
+    at_node = {}
+    for l in links:
+        for v in (l.tx, l.rx):
+            at_node[v] = at_node.get(v, 0) | 1 << l.id
+    tx_order = sorted(links, key=lambda k: (k.tx, k.id))
+    betas = [phy.beta_for(k.id) for k in links]
+    clash, by_tx, stages = [], [], []
+    for l in links:
+        clash.append((at_node[l.tx] | at_node[l.rx]) & ~(1 << l.id))
+        gains = channel.g[:, l.rx].tolist()  # the floats channel.gain returns
+        heard = [(1 << k.id, gains[k.tx], betas[k.id]) for k in tx_order
+                 if topology.in_range(k.tx, l.rx)]
+        by_tx.append(tuple(h[:2] for h in heard))
+        # a stable sort keeps transmitter-id order among equal gains
+        order = sorted(heard, key=lambda h: -h[1])
+        end = [bit for bit, _, _ in order].index(1 << l.id) + 1
+        stages.append(tuple(order[:end]))
+
+    def independent(mask: int) -> bool:
+        for i in bit_ids(mask):
+            if mask & clash[i]:
+                return False
+            nu = noise_plus_far
+            for bit, g in by_tx[i]:
+                if mask & bit:
+                    nu += g
+            for bit, g, beta in stages[i]:
+                if mask & bit:
+                    if g < beta * (nu - g):
+                        return False
+                    nu -= cancel * g
+        return True
+
+    return independent
+
+
 def eta(d: LinkSet, family: FeasibleFamily) -> tuple:
     """Links that can be added to ``d`` keeping the result in the family."""
     if d not in family:

@@ -6,11 +6,13 @@ its remaining time preserved) once it becomes feasible again.  Control
 signaling is instantaneous, so a transmitter's view is the set of ongoing
 links with an endpoint in its range, and a link may start when that view
 plus the link is independent: the verdict of the transmitter's table check
-(``localstate``) under the static channel.  The verdicts for one active
-set are cached as a bitmask; a new set's bitmask is bounded by those of
-the cached sets one link away, so only the links they leave open are
-judged.  Every start and end of a transmission suspends or resumes only
-the links whose verdict it flipped.
+(``localstate``) under the static channel.  Views are judged by
+``setspace.independence_oracle``, which compiles ``is_independent`` once
+per topology into bitmask lookups and the same decode arithmetic.  The
+verdicts for one active set are cached as a bitmask; a new set's bitmask
+is bounded by those of the cached sets one link away, so only the links
+they leave open are judged.  Every start and end of a transmission
+suspends or resumes only the links whose verdict it flipped.
 The run is deterministic given the seed, with one independent random
 stream per link.
 """
@@ -26,7 +28,9 @@ from .ctmc import RateParams
 # perfbench/run.py wraps ``sim.check_all_feasible``, which is not called here.
 from .localstate import MissingGainError, check_all_feasible  # noqa: F401
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig
-from .setspace import LinkSet, bit_ids, is_independent
+# perfbench/run.py wraps ``sim.is_independent``, which is not called here:
+# the simulator judges views with ``independence_oracle``.
+from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
 
 _COMPLETION = 0  # tie-break: completions before timer expiries
 _EXPIRY = 1
@@ -90,8 +94,10 @@ class Simulator:
     can interleave simulation epochs with parameter changes (``set_rates``).
     The protocol state is the ``active`` bitmask plus the timers.  A link may
     count down when the links of ``active`` its transmitter hears, plus the
-    link, are independent; all verdicts are cached as one bitmask per active
-    set (``_frontier``), read through the same cache as the invariant checks.
+    link, are independent.  Independence is the oracle compiled from the
+    topology in ``__init__`` (``independence_oracle``), cached per mask; all
+    verdicts are cached as one bitmask per active set (``_frontier``), read
+    through the same cache as the invariant checks.
     A miss reuses the cached bitmasks of the sets one link away, the previous
     active set among them, and judges only the links they leave undecided.
     Between events ``counting``, the links whose timers run (each with one
@@ -115,6 +121,7 @@ class Simulator:
 
         self._frontier_cache = {}
         self._indep_cache = {}
+        self._oracle = independence_oracle(topology, channel, self.phy)
 
         # Per transmitter, the links whose transmitter and whose receiver are
         # out of its range.  It knows the gains of node pairs with an end in
@@ -205,9 +212,7 @@ class Simulator:
     def _independent(self, mask: int) -> bool:
         v = self._indep_cache.get(mask)
         if v is None:
-            v = is_independent(LinkSet(mask, self.topology.n_links),
-                               self.topology, self.channel, self.phy)
-            self._indep_cache[mask] = v
+            v = self._indep_cache[mask] = self._oracle(mask)
         return v
 
     def _fresh_backoff(self, link: int) -> None:

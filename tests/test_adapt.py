@@ -23,6 +23,12 @@ class TestUpdateRule:
         with pytest.raises(ValueError):
             update_rates([0.0], 0.0, [1.0], [1.0])
 
+    @pytest.mark.parametrize("r_cap", [0.0, -1.0, float("nan")])
+    def test_cap_must_be_positive(self, r_cap):
+        # np.clip(step, 0, -1) would pin every exponent to -1
+        with pytest.raises(ValueError, match="r_cap must be positive"):
+            update_rates([0.5], 1.0, [1.0], [0.0], r_cap=r_cap)
+
 
 class TestConfig:
     def test_step_schedule(self):
@@ -44,6 +50,21 @@ class TestConfig:
     def test_non_finite_rejected(self, name, bad):
         with pytest.raises(ValueError):
             AdaptConfig(target_rates=[0.5], **{name: bad})
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, False, "5", None])
+    def test_max_updates_must_be_integer(self, bad):
+        # int(float(...)) used to turn 2.5 into 2 and True into 1
+        with pytest.raises(ValueError, match="max_updates must be an integer"):
+            AdaptConfig(target_rates=[0.5], max_updates=bad)
+
+    def test_numpy_integer_max_updates_accepted(self):
+        cfg = AdaptConfig(target_rates=[0.5], max_updates=np.int64(3))
+        assert cfg.max_updates == 3 and type(cfg.max_updates) is int
+
+    @pytest.mark.parametrize("r_cap", [0.0, -1.0])
+    def test_r_cap_must_be_positive(self, r_cap):
+        with pytest.raises(ValueError, match="r_cap must be positive"):
+            AdaptConfig(target_rates=[0.5], r_cap=r_cap)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_target_rejected(self, bad):

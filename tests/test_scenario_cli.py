@@ -225,6 +225,24 @@ class TestCli:
         assert main(["adapt", str(p)]) == 2
         assert capsys.readouterr().err.startswith("error: adapt: ")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_updates", 2.5, "max_updates must be an integer"),
+        ("max_updates", True, "max_updates must be an integer"),
+        ("max_updates", "20", "max_updates must be an integer"),
+        ("r_cap", -1.0, "r_cap must be positive"),
+        ("r_cap", 0.0, "r_cap must be positive"),
+    ])
+    def test_bad_adapt_schedule_exit_code(self, tmp_path, key, value, message,
+                                          capsys):
+        d = triangle_scenario_dict()
+        d["adapt"][key] = value
+        p = tmp_path / "bad_adapt.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main(["adapt", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: adapt: {message}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("key, value", [
         ("tx_power", float("nan")),
         ("noise_power", float("nan")),

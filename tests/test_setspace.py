@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csma_sic import (EnumerationCapError, FeasibleFamily, LinkSet,
+from csma_sic import (EnumerationCapError, FeasibleFamily, Link, LinkSet,
                       build_channel_matrix, capacity_contains,
-                      enumerate_feasible, eta, is_independent,
-                      reachable_subfamily)
+                      enumerate_feasible, eta, independence_oracle,
+                      is_independent, reachable_subfamily)
 from conftest import random_topology, triangle_topology
 
 
@@ -130,6 +130,63 @@ class TestDownwardClosure:
         for sets in ((LinkSet(0, k), LinkSet.from_ids([0, 1], k)), ()):
             with pytest.raises(ValueError, match="closed"):
                 FeasibleFamily(sets, k)
+
+
+def with_shared_nodes(topo, rng, extra):
+    """``topo`` plus ``extra`` links between its nodes, reusing endpoints."""
+    links = list(topo.links)
+    while len(links) < topo.n_links + extra:
+        a, b = (int(v) for v in rng.choice(topo.n_nodes, size=2, replace=False))
+        if topo.distance(a, b) < topo.phy.radius:
+            links.append(Link(len(links), a, b))
+    return replace(topo, links=tuple(links))
+
+
+class TestIndependenceOracle:
+    """The compiled oracle gives ``is_independent``'s verdict on every mask."""
+
+    @pytest.mark.parametrize("z", [0.0, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("geometry", [{}, {"radius": 6.0, "area": 20.0}],
+                             ids=["full-range", "partial-range"])
+    def test_matches_is_independent(self, geometry, z):
+        rng = np.random.default_rng(29)
+        seen = {True: 0, False: 0, "clash": 0, "deaf": 0}
+        for k in (2, 4, 7, 11, 16):
+            base = with_shared_nodes(
+                random_topology(rng, k, cancel_fraction=z, **geometry), rng,
+                extra=k // 2 + 1)
+            width = base.n_links
+            for phy in (
+                base.phy,
+                replace(base.phy,
+                        sinr_threshold=tuple(rng.uniform(0.5, 2.0, size=width)),
+                        far_interference=float(rng.uniform(0.001, 0.01))),
+                replace(base.phy, noise_power=0.0),
+            ):
+                topo = replace(base, phy=phy)
+                channel = build_channel_matrix(topo)
+                oracle = independence_oracle(topo, channel)
+                pairs = [1 << i | 1 << j for i in range(width)
+                         for j in range(i, width)]
+                dense = [int(rng.integers(0, 1 << width)) for _ in range(100)]
+                sparse = [int(rng.integers(0, 1 << width)
+                              & rng.integers(0, 1 << width)
+                              & rng.integers(0, 1 << width))
+                          for _ in range(200)]
+                for mask in [0] + pairs + dense + sparse:
+                    verdict = is_independent(LinkSet(mask, width), topo,
+                                             channel)
+                    assert oracle(mask) is verdict, (mask, phy)
+                    seen[verdict] += 1
+                    ids = LinkSet(mask, width).ids()
+                    nodes = [v for i in ids for v in (topo.links[i].tx,
+                                                      topo.links[i].rx)]
+                    seen["clash"] += len(set(nodes)) < len(nodes)
+                    seen["deaf"] += any(
+                        not topo.in_range(topo.links[i].tx, topo.links[j].rx)
+                        for i in ids for j in ids)
+        assert seen[True] and seen[False] and seen["clash"]
+        assert bool(seen["deaf"]) == bool(geometry)
 
 
 class TestFamilyConstruction:
