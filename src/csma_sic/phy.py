@@ -118,6 +118,8 @@ class NetworkTopology:
         if isinstance(self.phy.sinr_threshold, tuple) and len(self.phy.sinr_threshold) != len(links):
             raise ValueError("per-link sinr_threshold length must equal the link count")
         for l in links:
+            if l.tx not in range(len(nodes)) or l.rx not in range(len(nodes)):
+                raise ValueError(f"link {l.id}: endpoints must be node ids")
             if l.tx == l.rx:
                 raise ValueError(f"link {l.id}: transmitter equals receiver")
             if self.distance(l.tx, l.rx) >= self.phy.radius:

@@ -5,6 +5,7 @@ Sections: ``topology`` (required), ``phy``, and optional mode blocks
 rejected so that typos cannot silently fall back to defaults.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,18 +53,24 @@ class Scenario:
     raw: dict
 
 
+def _integer(value) -> int:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _parse_topology(data: dict, phy: PhyConfig) -> NetworkTopology:
     _require_keys("topology", data, {"nodes", "links"})
     try:
         nodes = tuple(
-            (int(n["id"]), float(n["pos"][0]), float(n["pos"][1]))
+            (_integer(n["id"]), float(n["pos"][0]), float(n["pos"][1]))
             for n in data["nodes"]
         )
         links = tuple(
-            (int(l["id"]), int(l["tx"]), int(l["rx"]))
+            (_integer(l["id"]), _integer(l["tx"]), _integer(l["rx"]))
             for l in data["links"]
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ScenarioError(f"topology: malformed node or link entry ({exc})")
     for n in data["nodes"]:
         _require_keys("topology.nodes[]", n, {"id", "pos"})

@@ -12,15 +12,15 @@ per topology into bitmask lookups and the same decode arithmetic.  The
 verdicts for one active set are cached as a bitmask; a new set's bitmask
 is bounded by those of the cached sets one link away, so only the links
 they leave open are judged.  Every start and end of a transmission
-suspends or resumes only the links whose verdict it flipped.
-The run is deterministic given the seed, with one independent random
-stream per link.
+suspends or resumes only the links whose verdict it flipped.  The event
+queue is one due time per link; the earliest goes next, the lowest link id
+among equal ones.  The run is deterministic given the seed, with one random
+stream per link, so the order of simultaneous events changes no draw.
 """
 
-import heapq
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from .phy import ChannelMatrix, NetworkTopology, PhyConfig
 # perfbench/run.py wraps ``sim.is_independent``, which is not called here:
 # the simulator judges views with ``independence_oracle``.
 from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
-
-_COMPLETION = 0  # tie-break: completions before timer expiries
-_EXPIRY = 1
 
 
 class ProtocolError(RuntimeError):
@@ -100,8 +97,10 @@ class Simulator:
     through the same cache as the invariant checks.
     A miss reuses the cached bitmasks of the sets one link away, the previous
     active set among them, and judges only the links they leave undecided.
-    Between events ``counting``, the links whose timers run (each with one
-    live expiry on the heap), equals ``_frontier(active)``.
+    Between events ``counting``, the links whose timers run, equals
+    ``_frontier(active)``, and ``due[i]`` is link i's next event time: its
+    completion if it is active, its expiry if it counts, else ``math.inf``.
+    ``advance`` takes the earliest, the lowest link id among equal ones.
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
@@ -146,10 +145,8 @@ class Simulator:
         self.now = 0.0
         self.active = 0
         self.counting = 0
-        self.expiry = [0.0] * k
+        self.due = [math.inf] * k
         self.remaining = [0.0] * k
-        self.token = [0] * k
-        self.heap = []
         self._draw = [0.0] * k
         self._counted = [0.0] * k
         self._resumed_at = [0.0] * k
@@ -159,7 +156,6 @@ class Simulator:
         self.completed = np.zeros(k, dtype=np.int64)
         self.completed_total = np.zeros(k, dtype=np.int64)
         self.occupancy = {}
-        self.last_t = 0.0
 
         for i in range(k):
             self._fresh_backoff(i)
@@ -224,21 +220,17 @@ class Simulator:
     def _reevaluate(self) -> None:
         front = self._frontier(self.active)
         for i in bit_ids(self.counting & ~front):
-            self.remaining[i] = self.expiry[i] - self.now
+            self.remaining[i] = self.due[i] - self.now
+            self.due[i] = math.inf
             self._counted[i] += self.now - self._resumed_at[i]
-            self.token[i] += 1
         for i in bit_ids(front & ~self.counting):
-            self.expiry[i] = self.now + self.remaining[i]
+            self.due[i] = self.now + self.remaining[i]
             self._resumed_at[i] = self.now
-            self.token[i] += 1
-            heapq.heappush(self.heap, (self.expiry[i], _EXPIRY, i,
-                                       self.token[i]))
         self.counting = front
 
     def _expire(self, link: int) -> None:
         if not self.counting >> link & 1:
             raise ProtocolError(f"timer of link {link} expired while infeasible")
-        self._accumulate(self.now)
         self.active |= 1 << link
         self.counting &= ~(1 << link)
         if not self._independent(self.active):
@@ -247,17 +239,15 @@ class Simulator:
         if abs(self._counted[link] - self._draw[link]) > 1e-6:
             raise ProtocolError("backoff bookkeeping lost time across "
                                 "suspend/resume")
-        self.token[link] += 1
         duration = self.rng[link].exponential(1.0 / self.mu[link])
-        heapq.heappush(self.heap, (self.now + duration, _COMPLETION, link,
-                                   self.token[link]))
+        self.due[link] = self.now + duration
         if self.record_cycles:
             self.cycles[link].append((self.now, self._draw[link], duration))
         self._reevaluate()
 
     def _complete(self, link: int) -> None:
-        self._accumulate(self.now)
         self.active &= ~(1 << link)
+        self.due[link] = math.inf
         self.completed_total[link] += 1
         if self.now >= self.warmup:
             self.completed[link] += 1
@@ -265,14 +255,12 @@ class Simulator:
         self._reevaluate()
 
     def _accumulate(self, t: float) -> None:
-        if t > self.last_t:
-            lo = max(self.last_t, self.warmup)
-            if t > lo:
-                dt = t - lo
-                self.occupancy[self.active] = self.occupancy.get(self.active, 0.0) + dt
-                for i in bit_ids(self.active):
-                    self.busy[i] += dt
-            self.last_t = t
+        lo = max(self.now, self.warmup)
+        if t > lo:
+            dt = t - lo
+            self.occupancy[self.active] = self.occupancy.get(self.active, 0.0) + dt
+            for i in bit_ids(self.active):
+                self.busy[i] += dt
 
     # -- driving ------------------------------------------------------------
 
@@ -280,12 +268,12 @@ class Simulator:
         """Process all events up to the given simulation time."""
         if not math.isfinite(until) or until < self.now:
             raise ValueError("advance needs a finite time no earlier than now")
-        while self.heap and self.heap[0][0] <= until:
-            t, rank, link, token = heapq.heappop(self.heap)
-            if token != self.token[link]:
-                continue  # cancelled by a suspend or state change
+        due = self.due
+        while due and (t := min(due)) <= until:
+            link = due.index(t)
+            self._accumulate(t)
             self.now = t
-            if rank == _COMPLETION:
+            if self.active >> link & 1:
                 self._complete(link)
             else:
                 self._expire(link)

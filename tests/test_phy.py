@@ -215,3 +215,13 @@ class TestValidation:
             NetworkTopology(((0, 0.0, 0.0), (1, 0.0, 0.0)), ((0, 0, 1),), phy)
         with pytest.raises(ValueError):  # non-dense link ids
             NetworkTopology(((0, 0.0, 0.0), (1, 1.0, 0.0)), ((1, 0, 1),), phy)
+
+    @pytest.mark.parametrize("tx, rx", [(1, -1), (0, 7), (-3, 1), (2, 1)])
+    def test_topology_endpoint_must_be_a_node(self, tx, rx):
+        # a negative index would alias the last node; a large one would
+        # escape as an IndexError
+        phy = PhyConfig(radius=10.0)
+        nodes = ((0, 0.0, 0.0), (1, 1.0, 0.0))
+        with pytest.raises(ValueError,
+                           match="link 0: endpoints must be node ids"):
+            NetworkTopology(nodes, ((0, tx, rx),), phy)

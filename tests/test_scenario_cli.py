@@ -277,6 +277,40 @@ class TestCli:
         assert captured.err.startswith("error: topology: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("kind, index, key, value", [
+        ("nodes", 1, "id", 1.9),
+        ("nodes", 1, "id", True),
+        ("nodes", 1, "id", "1"),
+        ("nodes", 1, "pos", ["abc", 0.0]),
+        ("links", 0, "id", 0.5),
+        ("links", 0, "tx", 0.0),
+        ("links", 1, "rx", True),
+        ("links", 1, "rx", -1),
+        ("links", 1, "rx", 7),
+    ])
+    def test_bad_topology_entry_exit_code(self, tmp_path, kind, index, key,
+                                          value, capsys):
+        d = triangle_scenario_dict()
+        d["topology"][kind][index][key] = value
+        p = tmp_path / "bad_topology.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main(["analyze", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: topology: ")
+        assert captured.out == ""
+
+    def test_zero_link_simulate(self, tmp_path, capsys):
+        d = {"topology": {"nodes": [{"id": 0, "pos": [0.0, 0.0]}],
+                          "links": []},
+             "sim": {"horizon": 100.0}}
+        p = tmp_path / "empty.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main(["simulate", str(p)]) == 0
+        captured = capsys.readouterr()
+        assert ("occupancy {}: analytical=1 empirical=1 |diff|=0\n"
+                in captured.out)
+        assert captured.err == ""
+
     @pytest.mark.parametrize("section, value", [
         ("sim", {"seed": None}),
         ("sim", {"horizon": None}),

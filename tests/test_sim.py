@@ -1,6 +1,7 @@
 """Event-driven protocol simulator: invariants, determinism, convergence."""
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from csma_sic import (LinkSet, NetworkTopology, Link, MissingGainError, Node,
                       steady_state, warm_coeff_table)
 from csma_sic.cli import main as cli_main
 from csma_sic.setspace import bit_ids
-from csma_sic.sim import _EXPIRY, ProtocolError
+from csma_sic.sim import ProtocolError
 from conftest import random_topology, triangle_topology
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +53,14 @@ class TestBasicRuns:
         stats = run(topo, channel, topo.phy, SimConfig(horizon=0.0))
         assert stats.measured_time == 0.0
         assert empirical_throughput(stats).tolist() == [0.0, 0.0, 0.0]
+
+    def test_zero_links(self):
+        topo = NetworkTopology(((0, 0.0, 0.0),), ())
+        sim = Simulator(topo, build_channel_matrix(topo), seed=1)
+        sim.advance(100.0)
+        assert sim.now == 100.0
+        assert sim.occupancy == {0: 100.0}
+        assert sim.completed_total.tolist() == []
 
     def test_never_infeasible(self, triangle):
         # the simulator asserts independence on every activation
@@ -125,8 +134,14 @@ class TestPinnedOutputs:
             "0ca20c1c6bec328a3e17e52d6afac7bd6025d5f3525dd607827dda10e867f346",
         ("spread-k12", "adapt"):
             "0191620d0c80ec28fb9856bebb3d126bfde746187a989e6cf8c2f110bbc2371d",
+        ("spread-k12", "analyze"):
+            "f83ae525e494d9b8d2cf33e046d7458f665fdade2b724282f51ac3e4f9b436be",
+        ("spread-k12", "capacity"):
+            "e687f17702bca492be509e300c56df5871f40f2b3b80c296d0cd64ad520d20d8",
         ("dense-k25", "simulate"):
             "5d7eb4dfe3c8a3266b88ece8983b8f07d5a9025f973c58c6648c00564e19c8ad",
+        ("triangle", "adapt"):
+            "a1d6b722988a3fa37db31b1d3787d0984c7684535a4357ff33a1aa363896836f",
     }
 
     @pytest.mark.parametrize("name, command", sorted(PERFBENCH_CSV_SHA256))
@@ -248,16 +263,21 @@ class TestBoundedMiss:
 
 class TestTimerState:
     """Between events the running timers are exactly the frontier of the
-    active set, and each has exactly one live expiry on the heap."""
+    active set, and the links with a pending event are exactly the counting
+    and the active ones, each due after ``now``; a counting link is due when
+    the remaining time counted from its last resume runs out."""
 
     def _step_and_check(self, topo, channel, seed, step, horizon):
         sim = Simulator(topo, channel, seed=seed)
         for t in np.arange(step, horizon + step / 2, step):
             sim.advance(float(t))
             assert sim.counting == sim._frontier(sim.active), sim.now
-            live = sorted(link for _, rank, link, token in sim.heap
-                          if rank == _EXPIRY and token == sim.token[link])
-            assert live == list(bit_ids(sim.counting)), sim.now
+            pending = sum(1 << i for i, d in enumerate(sim.due)
+                          if d < math.inf)
+            assert pending == sim.counting | sim.active, sim.now
+            assert all(d > sim.now for d in sim.due), sim.now
+            for i in bit_ids(sim.counting):
+                assert sim.due[i] == sim._resumed_at[i] + sim.remaining[i]
 
     def test_triangle(self, triangle):
         self._step_and_check(*triangle, seed=1, step=0.05, horizon=200.0)
