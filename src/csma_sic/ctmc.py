@@ -9,7 +9,6 @@ a state is the product of lambda_i / mu_i over its active links.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 # ``eta`` and ``reachable_subfamily`` are not called here; perfbench/run.py
 # wraps ``ctmc.eta`` and ``ctmc.reachable_subfamily`` to count calls.
@@ -87,8 +86,12 @@ def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
 
     The chain's state space is the family itself: a family is downward
     closed, so every member is reachable from the empty set by single-link
-    additions, and every member carries mass.
+    additions, and every member carries mass.  scipy's ``logsumexp`` is
+    imported on the first call, not with the package.
     """
+    # imported here: about 48 MB and 0.5 s that K > 20 runs never use
+    from scipy.special import logsumexp
+
     logw = np.array([
         sum(params.r[i] - np.log(params.mu[i]) for i in d.ids())
         for d in family.sets

@@ -22,6 +22,11 @@ class ScenarioError(ValueError):
     """A scenario file failed validation."""
 
 
+# libyaml's parser when PyYAML was built with it, else the pure-Python one;
+# both resolve and construct the same Python values.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 _PHY_KEYS = {"tx_power", "noise_power", "sinr_threshold", "cancel_fraction",
              "radius", "far_interference", "path_loss_exponent"}
 _RATES_KEYS = {"r", "lambda", "mu"}
@@ -59,11 +64,19 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _position(value) -> tuple:
+    if (not isinstance(value, (list, tuple)) or len(value) != 2
+            or not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
+                       for c in value)):
+        raise TypeError(f"pos {value!r} is not two real numbers")
+    return float(value[0]), float(value[1])
+
+
 def _parse_topology(data: dict, phy: PhyConfig) -> NetworkTopology:
     _require_keys("topology", data, {"nodes", "links"})
     try:
         nodes = tuple(
-            (_integer(n["id"]), float(n["pos"][0]), float(n["pos"][1]))
+            (_integer(n["id"]), *_position(n["pos"]))
             for n in data["nodes"]
         )
         links = tuple(
@@ -171,9 +184,16 @@ def parse_scenario(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
+    """Read and validate one scenario file.
+
+    The YAML is parsed by libyaml when PyYAML has it and by PyYAML's
+    pure-Python safe loader otherwise; the resulting mapping is the same.
+    A syntax error or a document that is not a mapping raises
+    ``ScenarioError`` naming ``path``.
+    """
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_LOADER)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: {exc}")
     if not isinstance(data, dict):

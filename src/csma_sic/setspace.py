@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig, sic_decodable
 
@@ -270,8 +269,12 @@ def capacity_contains(x, family: FeasibleFamily, strict: bool = False):
     mixture of set vectors dominates ``x`` componentwise (time sharing plus
     idling).  With ``strict=True`` the mixture must equal ``x`` exactly.
     Returns ``(verdict, alpha)`` where ``alpha`` aligns with
-    ``family.sets`` on success and is None on rejection.
+    ``family.sets`` on success and is None on rejection.  scipy's LP
+    solver is imported on the first call, not with the package.
     """
+    # imported here: about 48 MB and 0.5 s that K > 20 runs never use
+    from scipy.optimize import linprog
+
     x = np.asarray(x, dtype=float)
     if x.shape != (family.width,) or np.any(x < 0):
         raise ValueError("rate vector must have one nonnegative entry per link")

@@ -1,6 +1,10 @@
 """Scenario parsing, serialization round-trips, and the command line."""
 
 import copy
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,12 @@ import yaml
 
 from csma_sic import ScenarioError, dump_scenario, load_scenario
 from csma_sic.cli import main
-from csma_sic.scenario import parse_scenario
+from csma_sic.scenario import _LOADER, parse_scenario
 from conftest import triangle_topology
+
+ROOT = Path(__file__).resolve().parent.parent
+COMMITTED_SCENARIOS = sorted(ROOT.glob("scenarios/*.yaml")) + sorted(
+    ROOT.glob("perfbench/scenarios/*.yaml"))
 
 
 def triangle_scenario_dict():
@@ -136,6 +144,25 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario(d)
 
+    @pytest.mark.parametrize("path", COMMITTED_SCENARIOS,
+                             ids=lambda p: str(p.relative_to(ROOT)))
+    def test_loader_matches_safe_load(self, path):
+        # the pure-Python safe loader is the reference: same values, same types
+        def typed(v):
+            if isinstance(v, dict):
+                return {typed(k): typed(x) for k, x in v.items()}
+            if isinstance(v, list):
+                return [typed(x) for x in v]
+            return type(v), v
+
+        text = path.read_text()
+        assert typed(yaml.load(text, Loader=_LOADER)) == typed(
+            yaml.safe_load(text))
+
+    def test_libyaml_loader_used_when_present(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert _LOADER is expected
+
     def test_missing_topology(self):
         with pytest.raises(ScenarioError):
             parse_scenario({"phy": {}})
@@ -204,6 +231,15 @@ class TestCli:
         p = tmp_path / "bad.yaml"
         p.write_text("topology: 3\n")
         assert main(["analyze", str(p)]) == 2
+
+    def test_malformed_yaml_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "broken.yaml"
+        p.write_text("topology: [1, 2\nphy: {a: 1}\n")
+        assert main(["analyze", str(p)]) == 2
+        captured = capsys.readouterr()
+        # the parser's own wording differs between libyaml and pure Python
+        assert captured.err.startswith(f"error: {p}: ")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
     def test_bad_horizon_override_exit_code(self, scenario_path, horizon,
@@ -282,6 +318,9 @@ class TestCli:
         ("nodes", 1, "id", True),
         ("nodes", 1, "id", "1"),
         ("nodes", 1, "pos", ["abc", 0.0]),
+        ("nodes", 1, "pos", [1.0, 0.0, 9.0]),
+        ("nodes", 1, "pos", [True, 0.0]),
+        ("nodes", 1, "pos", ["1.0", 0.0]),
         ("links", 0, "id", 0.5),
         ("links", 0, "tx", 0.0),
         ("links", 1, "rx", True),
@@ -355,6 +394,31 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.yaml")]) == 2
+
+    def test_scipy_solvers_imported_on_first_use(self):
+        # a fresh interpreter: simulation-only K > 20 runs never load the LP
+        # or logsumexp, and capacity still loads and uses them afterwards
+        script = """
+import contextlib, io, sys
+from csma_sic.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["simulate", "perfbench/scenarios/dense-k25.yaml",
+                   "--horizon", "5"]),
+             main(["analyze", "perfbench/scenarios/dense-k25.yaml"])]
+print(codes, [m for m in ("scipy.optimize", "scipy.special")
+              if m in sys.modules])
+print(main(["capacity", "scenarios/triangle.yaml"]))
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT,
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        lines = proc.stdout.splitlines()
+        assert proc.returncode == 0, proc.stderr
+        assert lines[0] == "[0, 2] []"
+        assert "inside capacity region: yes" in lines
+        assert lines[-1] == "0"
 
     def test_enumeration_cap_reported(self, tmp_path):
         # 25 far-apart links cannot be enumerated, so analyze must refuse
