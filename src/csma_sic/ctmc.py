@@ -6,6 +6,7 @@ The chain is reversible with a product-form stationary law: the weight of
 a state is the product of lambda_i / mu_i over its active links.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,8 @@ class SteadyState:
     probs: dict  # LinkSet -> probability
 
     def __post_init__(self):
-        total = sum(self.probs.values())
+        # exactly rounded: a naive sum over 10^5 sets drifts past 1e-12
+        total = math.fsum(self.probs.values())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
         if any(p < 0 for p in self.probs.values()):

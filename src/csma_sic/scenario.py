@@ -64,6 +64,22 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(name: str, value) -> float:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} {value!r} is not a real number")
+    return float(value)
+
+
+def _reals(name: str, value) -> np.ndarray:
+    # one check per distinct element type: an ABC check per element would
+    # cost about 0.8 us each, a visible share of loading a K = 25 scenario
+    if (not isinstance(value, (list, tuple))
+            or not all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+                       for t in set(map(type, value)))):
+        raise TypeError(f"{name} {value!r} is not a list of real numbers")
+    return np.array(value, dtype=float)
+
+
 def _position(value) -> tuple:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
@@ -127,13 +143,13 @@ def parse_scenario(data: dict) -> Scenario:
     mu = rates_data.get("mu")
     try:
         if "lambda" in rates_data:
-            lam = np.asarray(rates_data["lambda"], dtype=float)
+            lam = _reals("lambda", rates_data["lambda"])
             if np.any(lam <= 0):
                 raise ValueError("lambda entries must be positive")
             r = np.log(lam)
         else:
-            r = np.asarray(rates_data.get("r", np.zeros(k)), dtype=float)
-        params = RateParams(r, None if mu is None else np.asarray(mu, float))
+            r = _reals("r", rates_data["r"]) if "r" in rates_data else np.zeros(k)
+        params = RateParams(r, None if mu is None else _reals("mu", mu))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"rates: {exc}")
     if params.r.shape != (k,):
@@ -143,11 +159,11 @@ def parse_scenario(data: dict) -> Scenario:
     _require_keys("sim", sim_data, _SIM_KEYS)
     try:
         sim_cfg = SimConfig(
-            horizon=float(sim_data.get("horizon", 1e5)),
+            horizon=_real("horizon", sim_data.get("horizon", 1e5)),
             seed=sim_data.get("seed", 0),
             params=params,
             warmup=None if sim_data.get("warmup") is None
-            else float(sim_data["warmup"]),
+            else _real("warmup", sim_data["warmup"]),
         )
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"sim: {exc}")
@@ -157,8 +173,12 @@ def parse_scenario(data: dict) -> Scenario:
         _require_keys("adapt", data["adapt"], _ADAPT_KEYS)
         adapt_data = dict(data["adapt"])
         try:
+            for key in ("update_period", "step_a0", "step_i0", "r_cap"):
+                if key in adapt_data:
+                    adapt_data[key] = _real(key, adapt_data[key])
             adapt_cfg = AdaptConfig(
-                target_rates=np.asarray(adapt_data.pop("target_rates"), float),
+                target_rates=_reals("target_rates",
+                                    adapt_data.pop("target_rates")),
                 **adapt_data,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -170,9 +190,9 @@ def parse_scenario(data: dict) -> Scenario:
     if "capacity" in data:
         _require_keys("capacity", data["capacity"], {"x"})
         try:
-            capacity_x = np.asarray(data["capacity"].get("x"), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"capacity: x: {exc}")
+            capacity_x = _reals("x", data["capacity"].get("x"))
+        except TypeError as exc:
+            raise ScenarioError(f"capacity: {exc}")
         if (capacity_x.shape != (k,)
                 or not np.all(np.isfinite(capacity_x) & (capacity_x >= 0))):
             raise ScenarioError("capacity: x needs one finite, nonnegative "

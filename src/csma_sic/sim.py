@@ -16,6 +16,10 @@ suspends or resumes only the links whose verdict it flipped.  The event
 queue is one due time per link; the earliest goes next, the lowest link id
 among equal ones.  The run is deterministic given the seed, with one random
 stream per link, so the order of simultaneous events changes no draw.
+Each link draws its backoffs and holding times from a buffer of standard
+exponentials refilled from its own stream, scaled by 1/lambda or 1/mu; the
+values are bit-identical to scalar ``Generator.exponential`` draws, and the
+event step runs on plain Python floats and ints.
 """
 
 import math
@@ -31,6 +35,22 @@ from .phy import ChannelMatrix, NetworkTopology, PhyConfig
 # perfbench/run.py wraps ``sim.is_independent``, which is not called here:
 # the simulator judges views with ``independence_oracle``.
 from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
+
+
+# Standard exponentials drawn per refill of a link's buffer: large enough
+# that the refill call is a small share of a draw, small enough that filling
+# every link's buffer in ``Simulator.__init__`` stays cheap.
+_BUFFER = 64
+
+
+def _exponentials(rng: np.random.Generator):
+    """Endless standard exponentials from ``rng``, drawn ``_BUFFER`` at a time.
+
+    ``scale * next(...)`` is bit-identical to ``rng.exponential(scale)``
+    on the same stream, which computes the same product in C.
+    """
+    while True:
+        yield from rng.standard_exponential(_BUFFER).tolist()
 
 
 class ProtocolError(RuntimeError):
@@ -111,8 +131,8 @@ class Simulator:
         self.phy = phy or topology.phy
         k = topology.n_links
         params = params or RateParams.uniform(k)
-        self.lam = params.lam.copy()
-        self.mu = params.mu.copy()
+        self._backoff_scale = (1.0 / params.lam).tolist()
+        self._hold_scale = (1.0 / params.mu).tolist()
         if not math.isfinite(warmup) or warmup < 0:
             raise ValueError("warmup must be finite and nonnegative")
         self.warmup = warmup
@@ -136,9 +156,9 @@ class Simulator:
             if not self._independent(1 << l.id):
                 raise ValueError(f"link {l.id} is not solo-feasible")
 
-        self.rng = [
-            np.random.Generator(np.random.PCG64(
-                np.random.SeedSequence(entropy=seed, spawn_key=(lid,))))
+        self._draws = [
+            _exponentials(np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(lid,)))))
             for lid in range(k)
         ]
 
@@ -152,9 +172,9 @@ class Simulator:
         self._resumed_at = [0.0] * k
         self.cycles = [[] for _ in range(k)]  # (start_time, counted_backoff, duration)
 
-        self.busy = np.zeros(k)
-        self.completed = np.zeros(k, dtype=np.int64)
-        self.completed_total = np.zeros(k, dtype=np.int64)
+        self.busy = [0.0] * k
+        self.completed = [0] * k
+        self._completed_total = [0] * k
         self.occupancy = {}
 
         for i in range(k):
@@ -163,12 +183,18 @@ class Simulator:
 
     # -- protocol mechanics -------------------------------------------------
 
+    @property
+    def completed_total(self) -> np.ndarray:
+        """Transmissions completed per link since time 0, warmup included."""
+        return np.array(self._completed_total, dtype=np.int64)
+
     def set_rates(self, lam) -> None:
         """Change activation rates; applies to subsequently drawn backoffs."""
         lam = np.asarray(lam, dtype=float)
-        if lam.shape != self.lam.shape or not np.all(np.isfinite(lam) & (lam > 0)):
+        if (lam.shape != (len(self._backoff_scale),)
+                or not np.all(np.isfinite(lam) & (lam > 0))):
             raise ValueError("rates must be finite and positive, one per link")
-        self.lam = lam.copy()
+        self._backoff_scale = (1.0 / lam).tolist()
 
     def _frontier(self, mask: int) -> int:
         """Bitmask of the links outside ``mask`` that may start transmitting.
@@ -212,20 +238,24 @@ class Simulator:
         return v
 
     def _fresh_backoff(self, link: int) -> None:
-        b = self.rng[link].exponential(1.0 / self.lam[link])
+        b = self._backoff_scale[link] * next(self._draws[link])
         self._draw[link] = b
         self._counted[link] = 0.0
         self.remaining[link] = b
 
     def _reevaluate(self) -> None:
         front = self._frontier(self.active)
-        for i in bit_ids(self.counting & ~front):
-            self.remaining[i] = self.due[i] - self.now
-            self.due[i] = math.inf
-            self._counted[i] += self.now - self._resumed_at[i]
-        for i in bit_ids(front & ~self.counting):
-            self.due[i] = self.now + self.remaining[i]
-            self._resumed_at[i] = self.now
+        stopped = self.counting & ~front
+        if stopped:
+            for i in bit_ids(stopped):
+                self.remaining[i] = self.due[i] - self.now
+                self.due[i] = math.inf
+                self._counted[i] += self.now - self._resumed_at[i]
+        started = front & ~self.counting
+        if started:
+            for i in bit_ids(started):
+                self.due[i] = self.now + self.remaining[i]
+                self._resumed_at[i] = self.now
         self.counting = front
 
     def _expire(self, link: int) -> None:
@@ -239,7 +269,7 @@ class Simulator:
         if abs(self._counted[link] - self._draw[link]) > 1e-6:
             raise ProtocolError("backoff bookkeeping lost time across "
                                 "suspend/resume")
-        duration = self.rng[link].exponential(1.0 / self.mu[link])
+        duration = self._hold_scale[link] * next(self._draws[link])
         self.due[link] = self.now + duration
         if self.record_cycles:
             self.cycles[link].append((self.now, self._draw[link], duration))
@@ -248,14 +278,14 @@ class Simulator:
     def _complete(self, link: int) -> None:
         self.active &= ~(1 << link)
         self.due[link] = math.inf
-        self.completed_total[link] += 1
+        self._completed_total[link] += 1
         if self.now >= self.warmup:
             self.completed[link] += 1
         self._fresh_backoff(link)
         self._reevaluate()
 
     def _accumulate(self, t: float) -> None:
-        lo = max(self.now, self.warmup)
+        lo = self.now if self.now >= self.warmup else self.warmup
         if t > lo:
             dt = t - lo
             self.occupancy[self.active] = self.occupancy.get(self.active, 0.0) + dt
@@ -283,8 +313,8 @@ class Simulator:
     def stats(self) -> SimStats:
         measured = max(0.0, self.now - self.warmup)
         return SimStats(
-            busy_time=self.busy.copy(),
-            completed=self.completed.copy(),
+            busy_time=np.array(self.busy, dtype=np.float64),
+            completed=np.array(self.completed, dtype=np.int64),
             occupancy=dict(self.occupancy),
             measured_time=measured,
             horizon=self.now,

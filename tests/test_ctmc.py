@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csma_sic import (FeasibleFamily, LinkSet, RateParams, build_channel_matrix,
-                      detailed_balance_residual, enumerate_feasible,
-                      expected_throughput, global_balance_residual,
-                      steady_state, transition_rates)
+                      SteadyState, detailed_balance_residual,
+                      enumerate_feasible, expected_throughput,
+                      global_balance_residual, steady_state, transition_rates)
 from conftest import random_topology
 
 
@@ -118,6 +118,17 @@ class TestNumericalStability:
         total = sum(ss.probs.values())
         assert total == pytest.approx(1.0, abs=1e-12)
         assert all(p >= 0 for p in ss.probs.values())
+
+    def test_total_checked_with_exact_sum(self):
+        # 10^5 equal probabilities sum to 1 + 1.1e-16 exactly, but a naive
+        # running sum drifts by 1.9e-12, past the 1e-12 tolerance
+        n = 100_000
+        probs = {LinkSet(b, 17): 1.0 / n for b in range(n)}
+        assert abs(sum(probs.values()) - 1.0) > 1e-12
+        SteadyState(probs)
+        probs[LinkSet(0, 17)] += 1e-11
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            SteadyState(probs)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

@@ -359,6 +359,7 @@ class TestCli:
         ("capacity", {"x": "abc"}),
         ("rates", {"r": "abc"}),
         ("rates", {"lambda": "abc"}),
+        ("rates", {"lambda": [1.0, "2", 1.0]}),
     ])
     @pytest.mark.parametrize("command", ["analyze", "simulate", "capacity",
                                          "adapt"])
@@ -371,6 +372,44 @@ class TestCli:
         assert main([command, str(p), "--horizon", "10"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {section}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("sim", "horizon", "100"),
+        ("sim", "horizon", True),
+        ("sim", "warmup", "10"),
+        ("rates", "r", ["0", 0.0, 0.0]),
+        ("rates", "r", [0.0, True, 0.0]),
+        ("rates", "mu", [1.0, "1", 1.0]),
+        ("capacity", "x", ["0.5", 0.5, 0.5]),
+        ("capacity", "x", [0.5, False, 0.5]),
+        ("adapt", "target_rates", [0.3, "0.3", 0.3]),
+        ("adapt", "update_period", "100"),
+        ("adapt", "r_cap", True),
+    ])
+    def test_non_numeric_field_exit_code(self, tmp_path, section, key, value,
+                                         capsys):
+        d = triangle_scenario_dict()
+        d[section][key] = value
+        p = tmp_path / "non_numeric.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main(["simulate", str(p), "--horizon", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {section}: {key} ")
+        assert "real number" in captured.err
+        assert captured.out == ""
+
+    def test_yaml11_exponent_without_dot_exit_code(self, scenario_path,
+                                                   capsys):
+        # YAML 1.1 needs a dot in a float, so both loaders read 5e3 as a str
+        text = scenario_path.read_text()
+        assert "horizon: 5000.0" in text
+        scenario_path.write_text(text.replace("horizon: 5000.0",
+                                              "horizon: 5e3"))
+        assert main(["simulate", str(scenario_path), "--horizon", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: sim: horizon '5e3' is not a real "
+                                "number\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("seed", [1.7, True, -3, "5"])

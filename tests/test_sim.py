@@ -1,5 +1,6 @@
 """Event-driven protocol simulator: invariants, determinism, convergence."""
 
+import bisect
 import hashlib
 import math
 from pathlib import Path
@@ -14,6 +15,7 @@ from csma_sic import (LinkSet, NetworkTopology, Link, MissingGainError, Node,
                       empirical_throughput, enumerate_feasible,
                       expected_throughput, load_scenario, run,
                       steady_state, warm_coeff_table)
+from csma_sic import sim as sim_module
 from csma_sic.cli import main as cli_main
 from csma_sic.setspace import bit_ids
 from csma_sic.sim import ProtocolError
@@ -428,6 +430,77 @@ class TestTimerMemorylessness:
         durations = np.array([c[2] for c in sim.cycles[1]])
         stat, p = scipy.stats.kstest(durations, "expon", args=(0, 1.0))
         assert p > 0.01
+
+
+class TestDrawStream:
+    """Each link's backoffs and holding times are, in order, the values that
+    scalar ``Generator.exponential`` draws from the link's own stream."""
+
+    @staticmethod
+    def _assert_replayed(sim, seed, lam_log, mu):
+        # lam_log: (time of set_rates, rates from then on), time 0 first; a
+        # backoff drawn at a completion uses the rates set before it
+        times = [t for t, _ in lam_log[1:]]
+        for link, cycles in enumerate(sim.cycles):
+            assert 2 * len(cycles) > 2 * sim_module._BUFFER, link
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(link,))))
+            drawn_at = 0.0
+            for start, backoff, duration in cycles:
+                lam = lam_log[bisect.bisect_left(times, drawn_at)][1]
+                assert backoff == rng.exponential(1.0 / lam[link])
+                assert duration == rng.exponential(1.0 / mu[link])
+                drawn_at = start + duration
+
+    def test_triangle_with_rate_changes(self, triangle):
+        topo, channel = triangle
+        params = RateParams(r=np.array([0.3, -0.2, 1.1]),
+                            mu=np.array([0.7, 1.3, 2.0]))
+        sim = Simulator(topo, channel, params=params, seed=12,
+                        record_cycles=True)
+        lam_log = [(0.0, params.lam)]
+        rng = np.random.default_rng(4)
+        for t in np.arange(50.0, 801.0, 50.0):
+            sim.advance(float(t))
+            lam = np.exp(rng.uniform(-2.0, 2.0, size=3))
+            sim.set_rates(lam)
+            lam_log.append((float(t), lam))
+        sim.advance(900.0)
+        self._assert_replayed(sim, 12, lam_log, params.mu)
+
+    def test_suspended_backoffs(self):
+        # the conflict pair suspends and resumes timers; the recorded draw
+        # is still the scalar draw, not the time counted piecewise
+        topo, channel = conflict_pair()
+        params = RateParams(r=np.array([0.8, -0.4]), mu=np.array([1.5, 0.5]))
+        sim = Simulator(topo, channel, params=params, seed=29,
+                        record_cycles=True)
+        sim.advance(600.0)
+        self._assert_replayed(sim, 29, [(0.0, params.lam)], params.mu)
+
+    def test_stats_arrays(self, triangle):
+        sim = Simulator(*triangle, seed=5, warmup=50.0)
+        sim.advance(100.0)
+        before = sim.completed_total.copy()
+        sim.advance(300.0)
+        after = sim.completed_total
+        served = after - before
+        assert after.dtype == before.dtype == served.dtype == np.int64
+        assert after.shape == (3,)
+        assert np.all(served > 0)
+        assert after.sum() == before.sum() + served.sum()
+        stats = sim.stats()
+        assert stats.busy_time.dtype == np.float64
+        assert stats.busy_time.shape == (3,)
+        assert stats.completed.dtype == np.int64
+        assert np.all(stats.completed <= after)
+        # the arrays are snapshots: advancing leaves them as they were
+        kept = after.copy(), stats.busy_time.copy()
+        sim.advance(400.0)
+        assert np.array_equal(after, kept[0])
+        assert np.array_equal(stats.busy_time, kept[1])
+        assert np.all(sim.completed_total >= after)
+        assert sim.completed_total.sum() > after.sum()
 
 
 class TestRateChanges:
