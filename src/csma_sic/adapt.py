@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import RateParams
+from .ctmc import RateParams, real_array
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig
 from .sim import SimConfig, Simulator
 
@@ -30,12 +30,15 @@ class AdaptConfig:
     arrivals: str = "deterministic"  # or "poisson"
 
     def __post_init__(self):
-        x = np.asarray(self.target_rates, dtype=float)
+        x = real_array("target_rates", self.target_rates)
         if not np.all(np.isfinite(x)) or np.any(x < 0):
             raise ValueError("target rates must be finite and nonnegative")
         object.__setattr__(self, "target_rates", x)
         for name in ("update_period", "step_a0", "step_i0", "r_cap"):
-            value = float(getattr(self, name))
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number")
+            value = float(value)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)

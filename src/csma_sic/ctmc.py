@@ -7,6 +7,7 @@ a state is the product of lambda_i / mu_i over its active links.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,26 @@ from .setspace import (FeasibleFamily, LinkSet, bit_ids, eta,  # noqa: F401
                        reachable_subfamily)
 
 
+def real_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, refusing str and bool entries.
+
+    ``np.asarray`` alone would read ``'0.5'`` as 0.5, and ``[0.5, True]`` is
+    a float64 array with ``True`` already turned into 1.0, so a list or tuple
+    is checked per distinct element type (an ABC check per element costs
+    about 0.8 us, a visible share of loading a K = 25 scenario) and an array
+    by its dtype.
+    """
+    if isinstance(value, np.ndarray):
+        ok = value.dtype.kind in "iuf"
+    else:
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        ok = all(issubclass(t, numbers.Real) and not issubclass(t, bool)
+                 for t in set(map(type, items)))
+    if not ok:
+        raise ValueError(f"{name} must be real numbers, not {value!r}")
+    return np.asarray(value, dtype=float)
+
+
 @dataclass(frozen=True)
 class RateParams:
     """Per-link aggressiveness exponents r (lambda = exp(r)) and service rates mu."""
@@ -25,8 +46,8 @@ class RateParams:
     mu: np.ndarray = None
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        mu = np.ones_like(r) if self.mu is None else np.asarray(self.mu, dtype=float)
+        r = real_array("r", self.r)
+        mu = np.ones_like(r) if self.mu is None else real_array("mu", self.mu)
         if mu.shape != r.shape:
             raise ValueError("r and mu must have the same length")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(mu))):

@@ -4,7 +4,10 @@ Each node learns channel gains by overhearing RTS/CTS/ACK exchanges and
 tracks which neighboring transmissions are in flight.  The distributed
 feasibility check simulates the staged decoding of every known receiver
 using only this table data.  Tests check the simulator's verdicts, the
-global oracle on each transmitter's view, against it as the reference.
+global oracle on the active set plus the candidate, against it as the
+reference, run per receiver: the candidate's receiver and each ongoing
+receiver in range of the candidate's transmitter judge their own decoding
+with ``check_feasible`` on their own table, and any refusal is a veto.
 """
 
 from dataclasses import dataclass, field

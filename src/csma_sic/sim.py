@@ -3,10 +3,15 @@
 Every backlogged link counts down an exponential backoff timer that is
 suspended whenever the transmission would be infeasible and resumed (with
 its remaining time preserved) once it becomes feasible again.  Control
-signaling is instantaneous, so a transmitter's view is the set of ongoing
-links with an endpoint in its range, and a link may start when that view
-plus the link is independent: the verdict of the transmitter's table check
-(``localstate``) under the static channel.  Views are judged by
+signaling is instantaneous.  A link may start when the active set plus it
+is independent: the candidate's receiver and each ongoing receiver in range
+of the candidate's transmitter judge their own decoding (``localstate``'s
+table check), and a refusal or a busy endpoint is a veto.  A receiver that
+does not hear the candidate sees no change, so this is independence in
+every range regime, and the chain is the product-form chain of Boorstyn et
+al., "Throughput analysis in multihop CSMA packet radio networks" (IEEE
+Trans. Commun., 1987), which hidden terminals break if the transmitter
+judges only the links it hears.  Sets are judged by
 ``setspace.independence_oracle``, which compiles ``is_independent`` once
 per topology into bitmask lookups and the same decode arithmetic.  The
 verdicts for one active set are cached as a bitmask; a new set's bitmask
@@ -30,10 +35,10 @@ import numpy as np
 
 from .ctmc import RateParams
 # perfbench/run.py wraps ``sim.check_all_feasible``, which is not called here.
-from .localstate import MissingGainError, check_all_feasible  # noqa: F401
+from .localstate import check_all_feasible  # noqa: F401
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig
 # perfbench/run.py wraps ``sim.is_independent``, which is not called here:
-# the simulator judges views with ``independence_oracle``.
+# the simulator judges active sets with ``independence_oracle``.
 from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
 
 
@@ -110,11 +115,13 @@ class Simulator:
     ``advance(until)`` processes all events up to the given time, so callers
     can interleave simulation epochs with parameter changes (``set_rates``).
     The protocol state is the ``active`` bitmask plus the timers.  A link may
-    count down when the links of ``active`` its transmitter hears, plus the
-    link, are independent.  Independence is the oracle compiled from the
-    topology in ``__init__`` (``independence_oracle``), cached per mask; all
-    verdicts are cached as one bitmask per active set (``_frontier``), read
-    through the same cache as the invariant checks.
+    count down when ``active`` plus the link is independent, that is when no
+    receiver that hears its transmitter vetoes it (Boorstyn et al., 1987).
+    Independence is the oracle compiled from the topology in ``__init__``
+    (``independence_oracle``), cached per mask; all verdicts are cached as
+    one bitmask per active set (``_frontier``), read through the same cache
+    as the invariant checks, so ``_frontier(mask)`` equals
+    ``FeasibleFamily.frontier[mask]`` for every member of the family.
     A miss reuses the cached bitmasks of the sets one link away, the previous
     active set among them, and judges only the links they leave undecided.
     Between events ``counting``, the links whose timers run, equals
@@ -142,16 +149,6 @@ class Simulator:
         self._indep_cache = {}
         self._oracle = independence_oracle(topology, channel, self.phy)
 
-        # Per transmitter, the links whose transmitter and whose receiver are
-        # out of its range.  It knows the gains of node pairs with an end in
-        # its range, so a view holding one link of each lacks a gain.
-        senders = {l.tx for l in topology.links}
-        self.far_tx = {v: sum(1 << l.id for l in topology.links
-                              if not topology.in_range(l.tx, v))
-                       for v in senders}
-        self.far_rx = {v: sum(1 << l.id for l in topology.links
-                              if not topology.in_range(l.rx, v))
-                       for v in senders}
         for l in topology.links:
             if not self._independent(1 << l.id):
                 raise ValueError(f"link {l.id} is not solo-feasible")
@@ -199,35 +196,26 @@ class Simulator:
     def _frontier(self, mask: int) -> int:
         """Bitmask of the links outside ``mask`` that may start transmitting.
 
-        A view only grows with the mask and independence is downward closed,
-        so a link outside the cached frontier of ``mask`` minus one link
-        stays out, and one inside the cached frontier of ``mask`` plus one
-        link stays in.  Only the links those leave undecided are judged.
+        Independence is downward closed, so a link outside the cached
+        frontier of ``mask`` minus one link stays out, and one inside the
+        cached frontier of ``mask`` plus one link stays in.  Only the links
+        those leave undecided are judged.
         """
         cache = self._frontier_cache
         front = cache.get(mask)
         if front is None:
-            links = self.topology.links
-            front, maybe = 0, ~mask
-            for l in links:
-                near = cache.get(mask ^ 1 << l.id)
+            n = self.topology.n_links
+            front, maybe = 0, ~mask & (1 << n) - 1
+            for j in range(n):
+                near = cache.get(mask ^ 1 << j)
                 if near is not None:
-                    if mask >> l.id & 1:
+                    if mask >> j & 1:
                         maybe &= near
                     else:
                         front |= near
-            undecided = maybe & ~front
-            for l in links:
-                if mask >> l.id & 1:
-                    continue
-                far_tx, far_rx = self.far_tx[l.tx], self.far_rx[l.tx]
-                view = mask & ~(far_tx & far_rx) | 1 << l.id
-                if view & far_tx and view & far_rx:
-                    t, r = (links[next(bit_ids(view & m))] for m in (far_tx, far_rx))
-                    raise MissingGainError(f"node {l.tx} has no gain estimate "
-                                           f"for pair ({t.tx}, {r.rx})")
-                if undecided >> l.id & 1 and self._independent(view):
-                    front |= 1 << l.id
+            for i in bit_ids(maybe & ~front):
+                if self._independent(mask | 1 << i):
+                    front |= 1 << i
             cache[mask] = front
         return front
 

@@ -37,11 +37,12 @@ def random_topology(rng: np.random.Generator, n_links: int,
                     noise_power: float = 0.01, beta: float = 1.5,
                     cancel_fraction: float = 1.0, radius: float = 100.0,
                     area: float = 8.0) -> NetworkTopology:
-    """Random solo-feasible topology with every node inside every radius.
+    """Random solo-feasible topology, by default with every node in range.
 
     Link lengths are drawn short enough that each link passes its SINR
-    threshold alone; the large radius keeps all interferers in range of all
-    receivers, the regime where local and global checks must agree.
+    threshold alone.  The default radius keeps all interferers in range of
+    all receivers; a smaller one (``radius=6.0, area=20.0`` in the tests)
+    gives partial range, where not every receiver hears every transmitter.
     """
     phy = PhyConfig(tx_power=1.0, noise_power=noise_power, sinr_threshold=beta,
                     cancel_fraction=cancel_fraction, radius=radius)

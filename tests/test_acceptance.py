@@ -6,6 +6,7 @@ on failure) and asserts the stated tolerance. Run with::
     pytest tests/test_acceptance.py -v
 """
 
+import functools
 import itertools
 import sys
 
@@ -147,17 +148,22 @@ def _maximal_vectors(fam):
     return np.unique(np.array(keep), axis=0)
 
 
+@functools.lru_cache(maxsize=None)
+def _simplex_grid(parts, n):
+    """All weight vectors of `parts` multiples of 1/n that sum to 1, one a row."""
+    cuts = np.array(list(itertools.combinations(range(n + parts - 1),
+                                                parts - 1)), dtype=np.int64)
+    ends = np.ones((len(cuts), 1), dtype=np.int64)
+    bounds = np.hstack([-ends, cuts, (n + parts - 1) * ends])
+    return (np.diff(bounds, axis=1) - 1) / n
+
+
 def _grid_mixtures(vectors, size, step):
     """All mixtures of `size` vectors with weights on a simplex grid."""
-    m, k = vectors.shape
-    n = round(1.0 / step)
-    out = []
-    for subset in itertools.combinations(range(m), size):
-        vs = vectors[list(subset)]
-        for cut in itertools.combinations(range(n + size - 1), size - 1):
-            w = np.diff((-1,) + cut + (n + size - 1,)) - 1
-            out.append((w / n) @ vs)
-    return np.array(out)
+    w = _simplex_grid(size, round(1.0 / step))
+    return np.concatenate([
+        w @ vectors[list(subset)]
+        for subset in itertools.combinations(range(len(vectors)), size)])
 
 
 def _grid_inside(x, vectors):
@@ -173,13 +179,8 @@ def _grid_inside(x, vectors):
 
 def _grid_outside(x, vectors, step=0.01):
     """Grid of dual directions certifying x lies beyond every mixture."""
-    k = len(x)
-    n = round(1.0 / step)
-    for cut in itertools.combinations(range(n + k - 1), k - 1):
-        w = (np.diff((-1,) + cut + (n + k - 1,)) - 1) / n
-        if w @ x > np.max(vectors @ w) + 1e-12:
-            return True
-    return False
+    w = _simplex_grid(len(x), round(1.0 / step))
+    return bool(np.any(w @ x > np.max(w @ vectors.T, axis=1) + 1e-12))
 
 
 def test_5_capacity_region_lp():

@@ -71,6 +71,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdaptConfig(target_rates=[0.5, bad])
 
+    @pytest.mark.parametrize("kwargs", [
+        {"target_rates": ["0.3", "0.3"]},
+        {"target_rates": [0.3, True]},
+        {"target_rates": np.array([True])},
+        {"target_rates": [0.3], "update_period": "100"},
+        {"target_rates": [0.3], "step_a0": True},
+        {"target_rates": [0.3], "step_i0": "1e3"},
+        {"target_rates": [0.3], "r_cap": False},
+    ])
+    def test_strings_and_bools_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be (a )?real number"):
+            AdaptConfig(**kwargs)
+
+    def test_numpy_scalars_accepted(self):
+        cfg = AdaptConfig(target_rates=np.array([0.3]),
+                          update_period=np.float64(50), step_a0=np.int64(2))
+        assert (cfg.update_period, cfg.step_a0) == (50.0, 2.0)
+        assert type(cfg.step_a0) is float
+
 
 class TestLoop:
     def test_target_inside_region_is_served(self, triangle):

@@ -27,6 +27,26 @@ class TestRateParams:
         with pytest.raises(ValueError):
             RateParams(r=np.zeros(2), mu=np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("r, mu", [
+        (["0.5", 0.0], None),
+        ([0.5, True], None),  # np.asarray makes this float64 [0.5, 1.0]
+        (np.array([True, False]), None),
+        (np.array(["0.5", "1"]), None),
+        ("0.5", None),
+        (True, None),
+        ([0.0, 0.0], [1.0, "2"]),
+        ([0.0, 0.0], (1.0, False)),
+    ])
+    def test_strings_and_bools_rejected(self, r, mu):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            RateParams(r=r, mu=mu)
+
+    def test_real_numbers_accepted(self):
+        params = RateParams(r=[0, np.float64(0.5), np.int64(1)],
+                            mu=np.array([1, 2, 3]))
+        assert params.r.tolist() == [0.0, 0.5, 1.0]
+        assert params.r.dtype == params.mu.dtype == np.float64
+
 
 class TestTriangleSteadyState:
     def test_uniform_at_zero_rates(self, triangle):

@@ -350,6 +350,29 @@ class TestCli:
                 in captured.out)
         assert captured.err == ""
 
+    def test_partial_range_scenario(self, tmp_path, capsys):
+        # not every node hears every other; the simulator stays inside the
+        # family, so each simulated occupancy has an analytical value
+        path = ROOT / "scenarios" / "sparse-k10.yaml"
+        topo = load_scenario(path).topology
+        assert not all(topo.in_range(a, b) for a in range(topo.n_nodes)
+                       for b in range(a))
+        assert main(["analyze", str(path)]) == 0
+        assert "feasible sets: 252\n" in capsys.readouterr().out
+        out = tmp_path / "s.csv"
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "tau 0: analytical=" in captured.out
+        import csv
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        occupied = [r for r in rows if r["quantity"] == "occupancy"
+                    and float(r["empirical"]) > 0]
+        assert len(occupied) > 100
+        assert all(r["analytical"] for r in occupied)
+        assert len([r for r in rows if r["quantity"] == "occupancy"]) == 252
+
     @pytest.mark.parametrize("section, value", [
         ("sim", {"seed": None}),
         ("sim", {"horizon": None}),

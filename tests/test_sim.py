@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from csma_sic import (LinkSet, NetworkTopology, Link, MissingGainError, Node,
-                      PhyConfig, RateParams, SimConfig, Simulator, TxTable,
-                      build_channel_matrix, check_all_feasible,
-                      empirical_throughput, enumerate_feasible,
-                      expected_throughput, load_scenario, run,
-                      steady_state, warm_coeff_table)
+from csma_sic import (NetworkTopology, Link, Node, PhyConfig, RateParams,
+                      SimConfig, Simulator, TxTable, build_channel_matrix,
+                      check_feasible, empirical_throughput,
+                      enumerate_feasible, expected_throughput, load_scenario,
+                      run, steady_state, warm_coeff_table)
 from csma_sic import sim as sim_module
 from csma_sic.cli import main as cli_main
-from csma_sic.setspace import bit_ids
+from csma_sic.setspace import bit_ids, independence_oracle
 from csma_sic.sim import ProtocolError
 from conftest import random_topology, triangle_topology
 
@@ -47,6 +46,45 @@ def two_clusters(rng):
     links = a.links + tuple(Link(l.id + a.n_links, l.tx + a.n_nodes,
                                  l.rx + a.n_nodes) for l in b.links)
     return NetworkTopology(nodes, links, a.phy)
+
+
+def sparse_topology(rng, low, high):
+    """Random topology in which not every node is in range of every other."""
+    return random_topology(rng, int(rng.integers(low, high)), radius=6.0,
+                           area=20.0)
+
+
+def has_out_of_range_pair(topo):
+    return not all(topo.in_range(a, b) for a in range(topo.n_nodes)
+                   for b in range(a))
+
+
+def receiver_veto(topo, coeffs, active, link):
+    """Whether ``link`` may join ``active``, decided locally by receivers.
+
+    A busy endpoint refuses.  Otherwise the candidate's receiver and each
+    ongoing receiver in range of the candidate's transmitter judge their own
+    decoding with ``check_feasible``, from their own coefficient table and
+    the transmissions they hear, the candidate's RTS included; any refusal
+    is a veto.  Returns the verdict and the number of ongoing receivers that
+    did not hear the candidate.
+    """
+    links = [topo.links[i] for i in bit_ids(active)]
+    busy = {n for o in links for n in (o.tx, o.rx)}
+    if link.tx in busy or link.rx in busy:
+        return False, 0
+    trial = links + [link]
+    judges = [o for o in trial
+              if o is link or topo.in_range(link.tx, o.rx)]
+    for judge in judges:
+        txs = TxTable(judge.rx)
+        for o in trial:
+            if topo.in_range(o.tx, judge.rx):
+                txs.register(o.tx, o.rx)
+        if not check_feasible(judge.tx, judge.rx, coeffs[judge.rx], txs,
+                              topo.phy):
+            return False, len(trial) - len(judges)
+    return True, len(trial) - len(judges)
 
 
 class TestBasicRuns:
@@ -182,7 +220,7 @@ class TestPinnedOutputs:
 
 class TestFrontierAgreement:
     """The simulator's local frontier equals the exact engine's frontier and
-    the table check on each transmitter's view."""
+    the receivers' table checks, in every range regime."""
 
     def _assert_agree(self, topo, channel):
         family = enumerate_feasible(topo, channel)
@@ -199,30 +237,56 @@ class TestFrontierAgreement:
             topo = random_topology(rng, int(rng.integers(2, 7)))
             self._assert_agree(topo, build_channel_matrix(topo))
 
-    def test_table_check_on_partial_views(self):
-        # each transmitter hears only its own cluster, so its view is smaller
-        # than the active set; the frontier must still equal its table check
-        rng = np.random.default_rng(5)
+    def test_partial_range(self):
+        rng = np.random.default_rng(919)
         partial = 0
-        for _ in range(30):
-            topo = two_clusters(rng)
+        for _ in range(12):
+            topo = sparse_topology(rng, 4, 13)
+            partial += has_out_of_range_pair(topo)
+            self._assert_agree(topo, build_channel_matrix(topo))
+        assert partial > 0
+
+    def test_static_reachability_is_the_family(self):
+        # starting links one at a time from the empty set under the
+        # simulator's move rule reaches exactly the independent sets; ending
+        # a link only leads to a subset, which downward closure keeps inside
+        rng = np.random.default_rng(929)
+        topologies = [sparse_topology(rng, 6, 15) for _ in range(8)]
+        rng = np.random.default_rng(11)
+        topologies.append(sparse_topology(rng, 8, 26))  # a former hidden terminal
+        for topo in topologies:
             channel = build_channel_matrix(topo)
             simulator = Simulator(topo, channel)
-            coeffs = {l.tx: warm_coeff_table(topo, channel, l.tx)
+            seen, todo = {0}, [0]
+            while todo:
+                mask = todo.pop()
+                for i in bit_ids(simulator._frontier(mask)):
+                    if mask | 1 << i not in seen:
+                        seen.add(mask | 1 << i)
+                        todo.append(mask | 1 << i)
+            family = enumerate_feasible(topo, channel)
+            assert seen == {d.bits for d in family.sets}
+
+    def test_table_check_on_partial_views(self):
+        # receivers that do not hear the candidate do not judge it; the
+        # frontier must still equal the verdict of those that do
+        clusters = np.random.default_rng(5)
+        sparse = np.random.default_rng(939)
+        topologies = ([two_clusters(clusters) for _ in range(30)]
+                      + [sparse_topology(sparse, 4, 11) for _ in range(8)])
+        unheard = 0
+        for topo in topologies:
+            channel = build_channel_matrix(topo)
+            simulator = Simulator(topo, channel)
+            coeffs = {l.rx: warm_coeff_table(topo, channel, l.rx)
                       for l in topo.links}
             for d in enumerate_feasible(topo, channel).sets:
                 front = simulator._frontier(d.bits)
                 for l in topo.links:
-                    txs = TxTable(l.tx)
-                    for o in topo.links:
-                        if d.contains(o.id) and (topo.in_range(o.tx, l.tx)
-                                                 or topo.in_range(o.rx, l.tx)):
-                            txs.register(o.tx, o.rx)
-                    partial += len(txs) < len(d)
-                    verdict = check_all_feasible(l.tx, l.rx, coeffs[l.tx],
-                                                 txs, topo.phy)
+                    verdict, silent = receiver_veto(topo, coeffs, d.bits, l)
+                    unheard += silent
                     assert bool(front >> l.id & 1) == verdict, (str(d), l.id)
-        assert partial > 0
+        assert unheard > 0
 
 
 class TestBoundedMiss:
@@ -262,6 +326,14 @@ class TestBoundedMiss:
         self._assert_cache_exact(scn.topology, scn.channel, 1,
                                  horizon=scn.sim.horizon)
 
+    def test_partial_range(self):
+        rng = np.random.default_rng(43)
+        for seed in range(6):
+            topo = sparse_topology(rng, 8, 26)
+            assert has_out_of_range_pair(topo)
+            self._assert_cache_exact(topo, build_channel_matrix(topo), seed,
+                                     horizon=20.0)
+
 
 class TestTimerState:
     """Between events the running timers are exactly the frontier of the
@@ -296,63 +368,38 @@ class TestTimerState:
         self._step_and_check(topo, build_channel_matrix(topo), seed=2,
                              step=0.1, horizon=50.0)
 
+    def test_partial_range(self):
+        rng = np.random.default_rng(13)
+        for seed in range(4):
+            topo = sparse_topology(rng, 8, 26)
+            assert has_out_of_range_pair(topo)
+            self._step_and_check(topo, build_channel_matrix(topo), seed,
+                                 step=0.1, horizon=20.0)
+
 
 class TestSparseRange:
-    def test_unknown_cross_gain_raises(self):
-        # A transmitter may hear one link's transmitter and another link's
-        # receiver, both out of its range, and lack the gain between them.
-        # The sparse-network item in ROADMAP.md replaces this test once the
-        # semantics of that case are chosen.
-        topo = random_topology(np.random.default_rng(7), 25, radius=6.0,
-                               area=20.0)
-        sim = Simulator(topo, build_channel_matrix(topo))
-        with pytest.raises(MissingGainError) as info:
-            sim.advance(200.0)
-        assert info.value.args[0] == ("node 22 has no gain estimate for "
-                                      "pair (38, 37)")
-        assert sim.now == 0.2002304723381515
+    """Partial-range runs that failed while each transmitter judged the
+    links it heard: 12 lacked a cross-gain (``MissingGainError``) and one
+    let a hidden terminal in (``ProtocolError``).  Under the receivers'
+    veto each runs clean and visits only independent sets."""
 
-    # rng seed -> (exception, message, time of the failing event), recorded
-    # at an earlier commit; the sparse item replaces these with it
-    SPARSE_FAILURES = {
-        0: (MissingGainError, "node 42 has no gain estimate for pair (36, 19)",
-            0.5389607643422505),
-        1: (MissingGainError, "node 18 has no gain estimate for pair (6, 17)",
-            0.2631834633301837),
-        2: (MissingGainError, "node 40 has no gain estimate for pair (18, 45)",
-            0.07930058955998653),
-        3: (MissingGainError, "node 6 has no gain estimate for pair (2, 23)",
-            0.07907741976783766),
-        4: (MissingGainError, "node 36 has no gain estimate for pair (22, 35)",
-            0.06597764775362909),
-        5: (MissingGainError, "node 0 has no gain estimate for pair (22, 27)",
-            0.4128575260593662),
-        6: (MissingGainError, "node 30 has no gain estimate for pair (14, 19)",
-            0.43014836818442687),
-        7: (MissingGainError, "node 24 has no gain estimate for pair (12, 41)",
-            0.14518051415411992),
-        8: (MissingGainError, "node 22 has no gain estimate for pair (28, 19)",
-            0.4102715644814342),
-        9: (MissingGainError, "node 12 has no gain estimate for pair (10, 27)",
-            1.5270989363834828),
-        10: (MissingGainError, "node 18 has no gain estimate for pair (2, 25)",
-             0.1620221572694008),
-        11: (ProtocolError, "active set left the independent-set family",
-             0.2532645996068552),
-    }
+    # rng seed, link count (None: drawn from the rng), simulator seed
+    CASES = {str(s): (s, None, s) for s in range(12)}
+    CASES["k25"] = (7, 25, 0)
 
-    @pytest.mark.parametrize("s", sorted(SPARSE_FAILURES))
-    def test_pinned_failures(self, s):
-        exc, message, now = self.SPARSE_FAILURES[s]
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pinned_failures(self, case):
+        s, k, seed = self.CASES[case]
         rng = np.random.default_rng(s)
-        topo = random_topology(rng, int(rng.integers(8, 26)), radius=6.0,
-                               area=20.0)
-        sim = Simulator(topo, build_channel_matrix(topo), seed=s)
-        with pytest.raises(exc) as info:
-            sim.advance(200.0)
-        assert info.type is exc
-        assert info.value.args[0] == message
-        assert sim.now == now
+        topo = random_topology(rng, k or int(rng.integers(8, 26)),
+                               radius=6.0, area=20.0)
+        channel = build_channel_matrix(topo)
+        sim = Simulator(topo, channel, seed=seed)
+        sim.advance(200.0)
+        assert sim.now == 200.0
+        oracle = independence_oracle(topo, channel, topo.phy)
+        assert len(sim.occupancy) > 1
+        assert all(oracle(mask) for mask in sim.occupancy)
 
 
 class TestStatsConsistency:
