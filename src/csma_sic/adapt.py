@@ -89,8 +89,8 @@ def update_rates(r_prev, alpha: float, lambda_emp, tau_emp,
         raise ValueError("step size must be positive")
     if not r_cap > 0:
         raise ValueError("r_cap must be positive")
-    r_prev = np.asarray(r_prev, dtype=float)
-    step = r_prev + alpha * (np.asarray(lambda_emp, float) - np.asarray(tau_emp, float))
+    step = real_array("r_prev", r_prev) + alpha * (
+        real_array("lambda_emp", lambda_emp) - real_array("tau_emp", tau_emp))
     return np.clip(step, 0.0, r_cap)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import yaml
 
 from .adapt import AdaptConfig
-from .ctmc import RateParams, real_array
+from .ctmc import RateParams, real_array, reals_only
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig, build_channel_matrix
 from .setspace import LinkSet, is_independent
 from .sim import SimConfig
@@ -72,8 +72,7 @@ def _real(name: str, value) -> float:
 
 def _position(value) -> tuple:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(c, numbers.Real) and not isinstance(c, bool)
-                       for c in value)):
+            or not reals_only(value)):
         raise TypeError(f"pos {value!r} is not two real numbers")
     return float(value[0]), float(value[1])
 

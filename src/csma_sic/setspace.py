@@ -157,14 +157,23 @@ def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix,
 
     What the definition looks up on every call is fixed by the topology:
     for each link, the other links that share a node with it (the
-    half-duplex rule), and at its receiver the gains of the links whose
-    transmitter is in range, once in ascending transmitter-id order (the
-    interference sum) and once in decode order up to the link itself
-    (strongest first, ties by transmitter id), each with its link's
-    threshold.  A link's own transmitter is always in range of its
-    receiver, since ``NetworkTopology`` requires it.  The returned function
-    makes the same float operations in the same order as ``sic_decodable``,
-    so its verdict equals ``is_independent`` bit for bit.
+    half-duplex rule), and at its receiver the gain of every link's
+    transmitter, ``0.0`` where it is out of range, and the decode order up
+    to the link itself (strongest first, ties by transmitter id), each
+    stage with its link's threshold.  A link's own transmitter is always in
+    range of its receiver, since ``NetworkTopology`` requires it.
+
+    A call walks the mask's members, not each receiver's whole in-range
+    list.  It runs every clash check first; then at each member's receiver
+    it sums the members' gains in ascending transmitter order (link order
+    when the ids follow it, else the members are sorted once by their
+    transmitter rank).  ``sic_decodable`` sums only the in-range ones in
+    that order, and adding ``0.0`` to a nonnegative float returns it
+    unchanged, so the sums agree bit for bit.  The member's decode stages
+    are scanned only when another member is decoded before it (a bitmask
+    test); otherwise its own stage is the only one.  So the returned
+    function makes the same float comparisons as ``sic_decodable`` on the
+    same values, and its verdict equals ``is_independent`` bit for bit.
     """
     phy = phy or topology.phy
     links = topology.links
@@ -174,32 +183,54 @@ def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix,
         for v in (l.tx, l.rx):
             at_node[v] = at_node.get(v, 0) | 1 << l.id
     tx_order = sorted(links, key=lambda k: (k.tx, k.id))
+    rank = [0] * len(links)
+    for r, k in enumerate(tx_order):
+        rank[k.id] = r
+    in_tx_order = rank == list(range(len(links)))
     betas = [phy.beta_for(k.id) for k in links]
-    clash, by_tx, stages = [], [], []
+    clash, rows, before, stages, own = [], [], [], [], []
     for l in links:
         clash.append((at_node[l.tx] | at_node[l.rx]) & ~(1 << l.id))
         gains = channel.g[:, l.rx].tolist()  # the floats channel.gain returns
-        heard = [(1 << k.id, gains[k.tx], betas[k.id]) for k in tx_order
-                 if topology.in_range(k.tx, l.rx)]
-        by_tx.append(tuple(h[:2] for h in heard))
+        heard = [k for k in tx_order if topology.in_range(k.tx, l.rx)]
+        row = [0.0] * len(links)
+        for k in heard:
+            row[k.id] = gains[k.tx]
+        rows.append(row)
         # a stable sort keeps transmitter-id order among equal gains
-        order = sorted(heard, key=lambda h: -h[1])
-        end = [bit for bit, _, _ in order].index(1 << l.id) + 1
-        stages.append(tuple(order[:end]))
+        order = sorted(heard, key=lambda k: -row[k.id])
+        up_to = order[:order.index(l) + 1]
+        stages.append(tuple((1 << k.id, row[k.id], betas[k.id]) for k in up_to))
+        before.append(sum(1 << k.id for k in up_to[:-1]))
+        own.append((row[l.id], betas[l.id]))
 
     def independent(mask: int) -> bool:
-        for i in bit_ids(mask):
+        members = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            i = low.bit_length() - 1
             if mask & clash[i]:
                 return False
+            members.append(i)
+            rest ^= low
+        summed = members if in_tx_order else sorted(members,
+                                                     key=rank.__getitem__)
+        for i in members:
+            row = rows[i]
             nu = noise_plus_far
-            for bit, g in by_tx[i]:
-                if mask & bit:
-                    nu += g
-            for bit, g, beta in stages[i]:
-                if mask & bit:
-                    if g < beta * (nu - g):
-                        return False
-                    nu -= cancel * g
+            for j in summed:
+                nu += row[j]
+            if mask & before[i]:
+                for bit, g, beta in stages[i]:
+                    if mask & bit:
+                        if g < beta * (nu - g):
+                            return False
+                        nu -= cancel * g
+            else:
+                g, beta = own[i]
+                if g < beta * (nu - g):
+                    return False
         return True
 
     return independent

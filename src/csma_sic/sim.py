@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import RateParams
+from .ctmc import RateParams, real_array
 # perfbench/run.py wraps ``sim.check_all_feasible``, which is not called here.
 from .localstate import check_all_feasible  # noqa: F401
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig
@@ -187,7 +187,7 @@ class Simulator:
 
     def set_rates(self, lam) -> None:
         """Change activation rates; applies to subsequently drawn backoffs."""
-        lam = np.asarray(lam, dtype=float)
+        lam = real_array("rates", lam)
         if (lam.shape != (len(self._backoff_scale),)
                 or not np.all(np.isfinite(lam) & (lam > 0))):
             raise ValueError("rates must be finite and positive, one per link")

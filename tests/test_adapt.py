@@ -30,6 +30,24 @@ class TestUpdateRule:
             update_rates([0.5], 1.0, [1.0], [0.0], r_cap=r_cap)
 
 
+    @pytest.mark.parametrize("args", [
+        (["0.5"], 1.0, [1.0], [0.0]),
+        ([0.5], 1.0, [True], [0.0]),
+        ([0.5], 1.0, [1.0], ["0"]),
+        ([False], 1.0, [1.0], [0.0]),
+        (["0.5"], 1.0, [True], ["0"]),
+    ])
+    def test_strings_and_bools_rejected(self, args):
+        # np.asarray(..., dtype=float) read '0.5' as 0.5 and True as 1.0
+        with pytest.raises(ValueError, match="must be real numbers"):
+            update_rates(*args)
+
+    def test_numpy_arrays_accepted(self):
+        r = update_rates(np.array([1.0, 2.0]), 0.5, np.array([0.8, 0.2]),
+                         np.array([1, 0], dtype=np.int64))
+        assert r == pytest.approx([0.9, 2.1])
+
+
 class TestConfig:
     def test_step_schedule(self):
         cfg = AdaptConfig(target_rates=[0.5], step_a0=1.0, step_i0=10.0)

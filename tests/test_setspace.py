@@ -1,15 +1,18 @@
 """Independent-set enumeration and the capacity-region membership test."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csma_sic import (EnumerationCapError, FeasibleFamily, Link, LinkSet,
+from csma_sic import (ChannelMatrix, EnumerationCapError, FeasibleFamily,
+                      Link, LinkSet, NetworkTopology, Node, PhyConfig,
                       build_channel_matrix, capacity_contains,
                       enumerate_feasible, eta, independence_oracle,
                       is_independent, reachable_subfamily)
+from csma_sic.phy import D_MIN
 from conftest import random_topology, triangle_topology
 
 
@@ -187,6 +190,108 @@ class TestIndependenceOracle:
                         for i in ids for j in ids)
         assert seen[True] and seen[False] and seen["clash"]
         assert bool(seen["deaf"]) == bool(geometry)
+
+    @staticmethod
+    def _every_mask(topo, channel):
+        """Assert the oracle's verdict on all 2^K masks; count the sets of
+        two or more links it accepts and refuses."""
+        oracle = independence_oracle(topo, channel)
+        seen = {True: 0, False: 0}
+        for mask in range(1 << topo.n_links):
+            verdict = is_independent(LinkSet(mask, topo.n_links), topo,
+                                     channel)
+            assert oracle(mask) is verdict, (mask, topo.phy)
+            if mask & mask - 1:
+                seen[verdict] += 1
+        return seen
+
+    @staticmethod
+    def _phys(rng, width, beta):
+        """Noise-free variants: threshold ``beta`` and per-link thresholds
+        around it, three cancellation fractions."""
+        for z in (0.0, 0.5, 1.0):
+            yield PhyConfig(noise_power=0.0, sinr_threshold=beta,
+                            cancel_fraction=z)
+            yield PhyConfig(noise_power=0.0, cancel_fraction=z,
+                            sinr_threshold=tuple(
+                                rng.uniform(beta / 2, 2 * beta, size=width)))
+
+    @pytest.mark.parametrize("radius", [100.0, 4.0],
+                             ids=["full-range", "partial-range"])
+    def test_equal_gains_tie_by_transmitter_id(self, radius):
+        """Nodes packed closer than ``D_MIN`` all see the same clamped gain,
+        so the decode order among them falls to the transmitter id."""
+        rng = np.random.default_rng(41)
+        for k in (6, 10):
+            nodes, links = [], []
+            for j in range(k):
+                if j <= k // 2:  # packed into a disk of radius 0.4
+                    pair = [(6.0, 6.0) + 0.4 * math.sqrt(rng.uniform())
+                            * np.array([math.cos(a), math.sin(a)])
+                            for a in rng.uniform(0.0, 2 * math.pi, size=2)]
+                else:
+                    tx = rng.uniform(0.0, 12.0, size=2)
+                    a = rng.uniform(0.0, 2 * math.pi)
+                    pair = [tx, tx + rng.uniform(1.0, 2.0)
+                            * np.array([math.cos(a), math.sin(a)])]
+                for xy in pair:
+                    nodes.append(Node(len(nodes), *map(float, xy)))
+                links.append(Link(j, 2 * j, 2 * j + 1))
+            for phy in self._phys(rng, k, 0.4):
+                topo = NetworkTopology(tuple(nodes), tuple(links),
+                                       replace(phy, radius=radius))
+                channel = build_channel_matrix(topo)
+                # links 0 and 1 are packed: each receiver hears both at once
+                assert (channel.g[0, 3] == channel.g[2, 1]
+                        == D_MIN ** -phy.path_loss_exponent)
+                seen = self._every_mask(topo, channel)
+                assert seen[True] and seen[False]
+            deaf = not all(topo.in_range(l.tx, m.rx) for l in links
+                           for m in links)
+            assert deaf == (radius < 100.0)
+
+    @pytest.mark.parametrize("geometry", [{}, {"radius": 6.0, "area": 20.0}],
+                             ids=["full-range", "partial-range"])
+    def test_link_ids_opposite_to_transmitter_ids(self, geometry):
+        """Link order is the reverse of transmitter order and no node is
+        shared, so each call sorts its members by transmitter rank."""
+        rng = np.random.default_rng(43)
+        seen, deaf = {True: 0, False: 0}, False
+        for k in (5, 8, 10):
+            base = random_topology(rng, k, **geometry)
+            links = tuple(Link(j, l.tx, l.rx)
+                          for j, l in enumerate(reversed(base.links)))
+            assert [l.tx for l in links] == sorted(
+                (l.tx for l in links), reverse=True)
+            for phy in self._phys(rng, k, 1.5):
+                topo = replace(base, links=links,
+                               phy=replace(phy, radius=base.phy.radius))
+                for verdict, n in self._every_mask(
+                        topo, build_channel_matrix(topo)).items():
+                    seen[verdict] += n
+            deaf |= not all(topo.in_range(l.tx, m.rx) for l in links
+                            for m in links)
+        assert seen[True] and seen[False]
+        assert deaf == bool(geometry)
+
+    def test_interference_summed_in_transmitter_order(self):
+        """Float addition does not associate: at link 2's receiver the sum
+        in transmitter order rounds the two 2**-53 interferers away, leaving
+        no interference and so no finite threshold to miss; in link order
+        they remain and the 2**60 threshold refuses the set."""
+        tiny = 2.0 ** -53
+        nodes = tuple(Node(v, float(v), 0.0) for v in range(6))
+        links = (Link(0, 4, 5), Link(1, 2, 3), Link(2, 0, 1))
+        phy = PhyConfig(noise_power=0.0, radius=100.0,
+                        sinr_threshold=(1.0, 1.0, 2.0 ** 60))
+        topo = NetworkTopology(nodes, links, phy)
+        g = np.full((6, 6), tiny)
+        for l in links:
+            g[l.tx, l.rx] = g[l.rx, l.tx] = 1.0
+        channel = ChannelMatrix(g)
+        assert (1.0 + tiny) + tiny == 1.0 < (tiny + tiny) + 1.0
+        assert is_independent(LinkSet(0b111, 3), topo, channel)
+        assert independence_oracle(topo, channel)(0b111)
 
 
 class TestFamilyConstruction:

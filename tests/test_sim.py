@@ -192,6 +192,27 @@ class TestPinnedOutputs:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.PERFBENCH_CSV_SHA256[name, command]
 
+    # (scenario path from the repo root, command, seed) -> CSV sha256: the
+    # K > 20 adaptation path, a second dense seed and partial range
+    SCENARIO_CSV_SHA256 = {
+        ("perfbench/scenarios/dense-k25.yaml", "adapt", 1):
+            "cb3a9b26c0153a98de65ea52178aa725d19198c1a6a91a8c470784c3dc6d29c7",
+        ("perfbench/scenarios/dense-k25.yaml", "simulate", 2):
+            "e6bf98c6a6ca8f1430d9d4ef6ed0e009f9df982e39144b43252c66ba0de49604",
+        ("scenarios/sparse-k10.yaml", "simulate", 1):
+            "45e5f97cb43e4afa6d4d383a252246d97c6e501e60080d3b3f24250375dc9993",
+        ("scenarios/sparse-k10.yaml", "analyze", 1):
+            "3df265961be74ed77a73931ef8a61210e209dd546c83cef5c8683f375b6a7ffc",
+    }
+
+    @pytest.mark.parametrize("path, command, seed", sorted(SCENARIO_CSV_SHA256))
+    def test_scenario_csv(self, tmp_path, path, command, seed):
+        out = tmp_path / "out.csv"
+        assert cli_main([command, str(ROOT / path), "--seed", str(seed),
+                         "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.SCENARIO_CSV_SHA256[path, command, seed]
+
     def test_random_topology_trajectory(self):
         topo = random_topology(np.random.default_rng(7), 10)
         sim = Simulator(topo, build_channel_matrix(topo), seed=3)
@@ -573,6 +594,22 @@ class TestRateChanges:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 sim.set_rates([1.0, bad, 2.0])
+
+    @pytest.mark.parametrize("bad", [["1", 1.0, 2.0], [1.0, True, 2.0],
+                                     ["1", True, 2.0], (1.0, 1.0, "2")])
+    def test_set_rates_rejects_strings_and_bools(self, triangle, bad):
+        # np.asarray(..., dtype=float) read '1' as 1.0 and True as 1.0
+        sim = Simulator(triangle[0], triangle[1])
+        with pytest.raises(ValueError, match="must be real numbers"):
+            sim.set_rates(bad)
+        assert sim._backoff_scale == [1.0, 1.0, 1.0]
+
+    def test_set_rates_accepts_numpy_arrays(self, triangle):
+        sim = Simulator(triangle[0], triangle[1])
+        sim.set_rates(np.array([1, 2, 4], dtype=np.int64))
+        assert sim._backoff_scale == [1.0, 0.5, 0.25]
+        sim.set_rates(np.exp(np.array([0.0, 0.0, 0.0])))
+        assert sim._backoff_scale == [1.0, 1.0, 1.0]
 
 
 class TestConfigValidation:
