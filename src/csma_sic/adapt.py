@@ -84,14 +84,27 @@ class AdaptTrace:
 
 def update_rates(r_prev, alpha: float, lambda_emp, tau_emp,
                  r_cap: float = 25.0) -> np.ndarray:
-    """One projected-gradient step on the aggressiveness exponents."""
-    if alpha <= 0:
-        raise ValueError("step size must be positive")
+    """One projected-gradient step on the aggressiveness exponents.
+
+    ``r_prev``, ``lambda_emp`` and ``tau_emp`` hold one entry per link each,
+    so they must share one 1-D shape; ``alpha`` and ``r_cap`` are real
+    numbers, not bools, and a NaN or infinite step is refused.
+    """
+    for name, value in (("alpha", alpha), ("r_cap", r_cap)):
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number")
+    if not 0 < alpha < np.inf:
+        raise ValueError("step size must be positive and finite")
     if not r_cap > 0:
         raise ValueError("r_cap must be positive")
-    step = real_array("r_prev", r_prev) + alpha * (
-        real_array("lambda_emp", lambda_emp) - real_array("tau_emp", tau_emp))
-    return np.clip(step, 0.0, r_cap)
+    r_prev = real_array("r_prev", r_prev)
+    lambda_emp = real_array("lambda_emp", lambda_emp)
+    tau_emp = real_array("tau_emp", tau_emp)
+    if (r_prev.ndim != 1 or lambda_emp.shape != r_prev.shape
+            or tau_emp.shape != r_prev.shape):
+        raise ValueError("r_prev, lambda_emp and tau_emp must be 1-D "
+                         "with one entry per link each")
+    return np.clip(r_prev + alpha * (lambda_emp - tau_emp), 0.0, r_cap)
 
 
 def adapt_run(topology: NetworkTopology, channel: ChannelMatrix, phy: PhyConfig,
@@ -114,14 +127,15 @@ def adapt_run(topology: NetworkTopology, channel: ChannelMatrix, phy: PhyConfig,
         np.random.SeedSequence(entropy=sim_cfg.seed, spawn_key=(0xA881,))))
     queues = np.zeros(k)
     arrears = np.zeros(k)  # fractional arrivals carried across epochs
-    served_before = sim.completed_total.copy()
+    served_before = sim.completed_total  # a fresh array on each read
 
     times, rs, lams, taus, qs = [], [], [], [], []
     for i in range(1, cfg.max_updates + 1):
         t_end = i * cfg.update_period
         sim.advance(t_end)
-        served = sim.completed_total - served_before
-        served_before = sim.completed_total.copy()
+        served_total = sim.completed_total
+        served = served_total - served_before
+        served_before = served_total
         if cfg.arrivals == "deterministic":
             arrears += x * cfg.update_period
             arrivals = np.floor(arrears)

@@ -23,8 +23,12 @@ among equal ones.  The run is deterministic given the seed, with one random
 stream per link, so the order of simultaneous events changes no draw.
 Each link draws its backoffs and holding times from a buffer of standard
 exponentials refilled from its own stream, scaled by 1/lambda or 1/mu; the
-values are bit-identical to scalar ``Generator.exponential`` draws, and the
-event step runs on plain Python floats and ints.
+values are bit-identical to scalar ``Generator.exponential`` draws.
+The event step is one loop in ``Simulator.advance`` on local plain Python
+floats and ints: it credits the elapsed time, starts or ends a
+transmission and flips the timers in one pass, reads the verdict caches
+directly and calls out only when one misses, and walks the active set
+through a member tuple cached with its verdict bitmask.
 """
 
 import math
@@ -127,7 +131,13 @@ class Simulator:
     Between events ``counting``, the links whose timers run, equals
     ``_frontier(active)``, and ``due[i]`` is link i's next event time: its
     completion if it is active, its expiry if it counts, else ``math.inf``.
-    ``advance`` takes the earliest, the lowest link id among equal ones.
+    ``advance`` takes the earliest, the lowest link id among equal ones,
+    and handles each event in one pass of one loop on local variables; it
+    goes through ``_frontier`` and ``_independent`` only when their caches
+    miss.  Each event checks that an expiring timer was counting, that the
+    new active set is independent and that the counted backoff equals its
+    draw to 1e-6, and raises ``ProtocolError`` otherwise, with ``now`` at
+    the event.
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
@@ -146,6 +156,7 @@ class Simulator:
         self.record_cycles = record_cycles
 
         self._frontier_cache = {}
+        self._members = {}
         self._indep_cache = {}
         self._oracle = independence_oracle(topology, channel, self.phy)
 
@@ -161,22 +172,20 @@ class Simulator:
 
         self.now = 0.0
         self.active = 0
-        self.counting = 0
-        self.due = [math.inf] * k
-        self.remaining = [0.0] * k
-        self._draw = [0.0] * k
+        self._draw = [scale * next(stream) for scale, stream
+                      in zip(self._backoff_scale, self._draws)]
         self._counted = [0.0] * k
+        self.remaining = list(self._draw)
         self._resumed_at = [0.0] * k
+        # every link is solo-feasible, so every timer counts from time 0
+        self.counting = self._frontier(0)
+        self.due = list(self._draw)
         self.cycles = [[] for _ in range(k)]  # (start_time, counted_backoff, duration)
 
         self.busy = [0.0] * k
         self.completed = [0] * k
         self._completed_total = [0] * k
         self.occupancy = {}
-
-        for i in range(k):
-            self._fresh_backoff(i)
-        self._reevaluate()
 
     # -- protocol mechanics -------------------------------------------------
 
@@ -199,7 +208,9 @@ class Simulator:
         Independence is downward closed, so a link outside the cached
         frontier of ``mask`` minus one link stays out, and one inside the
         cached frontier of ``mask`` plus one link stays in.  Only the links
-        those leave undecided are judged.
+        those leave undecided are judged.  A miss also caches the members
+        of ``mask`` in ascending order, which ``advance`` walks while
+        ``mask`` is the active set.
         """
         cache = self._frontier_cache
         front = cache.get(mask)
@@ -217,6 +228,7 @@ class Simulator:
                 if self._independent(mask | 1 << i):
                     front |= 1 << i
             cache[mask] = front
+            self._members[mask] = tuple(bit_ids(mask))
         return front
 
     def _independent(self, mask: int) -> bool:
@@ -225,78 +237,102 @@ class Simulator:
             v = self._indep_cache[mask] = self._oracle(mask)
         return v
 
-    def _fresh_backoff(self, link: int) -> None:
-        b = self._backoff_scale[link] * next(self._draws[link])
-        self._draw[link] = b
-        self._counted[link] = 0.0
-        self.remaining[link] = b
-
-    def _reevaluate(self) -> None:
-        front = self._frontier(self.active)
-        stopped = self.counting & ~front
-        if stopped:
-            for i in bit_ids(stopped):
-                self.remaining[i] = self.due[i] - self.now
-                self.due[i] = math.inf
-                self._counted[i] += self.now - self._resumed_at[i]
-        started = front & ~self.counting
-        if started:
-            for i in bit_ids(started):
-                self.due[i] = self.now + self.remaining[i]
-                self._resumed_at[i] = self.now
-        self.counting = front
-
-    def _expire(self, link: int) -> None:
-        if not self.counting >> link & 1:
-            raise ProtocolError(f"timer of link {link} expired while infeasible")
-        self.active |= 1 << link
-        self.counting &= ~(1 << link)
-        if not self._independent(self.active):
-            raise ProtocolError("active set left the independent-set family")
-        self._counted[link] += self.now - self._resumed_at[link]
-        if abs(self._counted[link] - self._draw[link]) > 1e-6:
-            raise ProtocolError("backoff bookkeeping lost time across "
-                                "suspend/resume")
-        duration = self._hold_scale[link] * next(self._draws[link])
-        self.due[link] = self.now + duration
-        if self.record_cycles:
-            self.cycles[link].append((self.now, self._draw[link], duration))
-        self._reevaluate()
-
-    def _complete(self, link: int) -> None:
-        self.active &= ~(1 << link)
-        self.due[link] = math.inf
-        self._completed_total[link] += 1
-        if self.now >= self.warmup:
-            self.completed[link] += 1
-        self._fresh_backoff(link)
-        self._reevaluate()
-
-    def _accumulate(self, t: float) -> None:
-        lo = self.now if self.now >= self.warmup else self.warmup
-        if t > lo:
-            dt = t - lo
-            self.occupancy[self.active] = self.occupancy.get(self.active, 0.0) + dt
-            for i in bit_ids(self.active):
-                self.busy[i] += dt
-
     # -- driving ------------------------------------------------------------
 
     def advance(self, until: float) -> None:
-        """Process all events up to the given simulation time."""
+        """Process all events up to the given simulation time.
+
+        One pass of the loop is one event: credit the time since the last
+        event to the active set, end or start the transmission of the link
+        due first, then suspend and resume the timers whose verdict that
+        flipped.  The state lives in locals while the loop runs, and
+        ``now``, ``active`` and ``counting`` are written back on the way
+        out, also when a ``ProtocolError`` ends the run.
+        """
         if not math.isfinite(until) or until < self.now:
             raise ValueError("advance needs a finite time no earlier than now")
-        due = self.due
-        while due and (t := min(due)) <= until:
-            link = due.index(t)
-            self._accumulate(t)
-            self.now = t
-            if self.active >> link & 1:
-                self._complete(link)
-            else:
-                self._expire(link)
-        self._accumulate(until)
-        self.now = until
+        now, active, counting = self.now, self.active, self.counting
+        warmup, due, remaining = self.warmup, self.due, self.remaining
+        drawn, counted, resumed = self._draw, self._counted, self._resumed_at
+        busy, occupancy, members = self.busy, self.occupancy, self._members
+        completed, completed_total = self.completed, self._completed_total
+        draws, hold_scale = self._draws, self._hold_scale
+        backoff_scale = self._backoff_scale
+        cycles = self.cycles if self.record_cycles else None
+        frontier_of = self._frontier_cache.get
+        independent_of = self._indep_cache.get
+        inf = math.inf
+        try:
+            while due and (t := min(due)) <= until:
+                link = due.index(t)
+                lo = now if now >= warmup else warmup
+                if t > lo:
+                    dt = t - lo
+                    occupancy[active] = occupancy.get(active, 0.0) + dt
+                    for i in members[active]:
+                        busy[i] += dt
+                now = t
+                bit = 1 << link
+                if active & bit:
+                    # completion: a fresh backoff, resumed below
+                    active &= ~bit
+                    due[link] = inf
+                    completed_total[link] += 1
+                    if now >= warmup:
+                        completed[link] += 1
+                    b = backoff_scale[link] * next(draws[link])
+                    drawn[link] = b
+                    counted[link] = 0.0
+                    remaining[link] = b
+                else:
+                    # expiry: the link starts transmitting
+                    if not counting & bit:
+                        raise ProtocolError(
+                            f"timer of link {link} expired while infeasible")
+                    active |= bit
+                    counting &= ~bit
+                    ok = independent_of(active)
+                    if ok is None:
+                        ok = self._independent(active)
+                    if not ok:
+                        raise ProtocolError(
+                            "active set left the independent-set family")
+                    counted[link] += now - resumed[link]
+                    if abs(counted[link] - drawn[link]) > 1e-6:
+                        raise ProtocolError("backoff bookkeeping lost time "
+                                            "across suspend/resume")
+                    duration = hold_scale[link] * next(draws[link])
+                    due[link] = now + duration
+                    if cycles is not None:
+                        cycles[link].append((now, drawn[link], duration))
+                front = frontier_of(active)
+                if front is None:
+                    front = self._frontier(active)
+                stopped = counting & ~front
+                while stopped:
+                    low = stopped & -stopped
+                    stopped ^= low
+                    i = low.bit_length() - 1
+                    remaining[i] = due[i] - now
+                    due[i] = inf
+                    counted[i] += now - resumed[i]
+                started = front & ~counting
+                while started:
+                    low = started & -started
+                    started ^= low
+                    i = low.bit_length() - 1
+                    due[i] = now + remaining[i]
+                    resumed[i] = now
+                counting = front
+            lo = now if now >= warmup else warmup
+            if until > lo:
+                dt = until - lo
+                occupancy[active] = occupancy.get(active, 0.0) + dt
+                for i in members[active]:
+                    busy[i] += dt
+            now = until
+        finally:
+            self.now, self.active, self.counting = now, active, counting
 
     def stats(self) -> SimStats:
         measured = max(0.0, self.now - self.warmup)

@@ -23,6 +23,12 @@ class TestUpdateRule:
         with pytest.raises(ValueError):
             update_rates([0.0], 0.0, [1.0], [1.0])
 
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_step_must_be_positive_and_finite(self, alpha):
+        # a NaN or infinite step turned every exponent into NaN
+        with pytest.raises(ValueError, match="step size must be positive"):
+            update_rates([0.5], alpha, [1.0], [1.0])
+
     @pytest.mark.parametrize("r_cap", [0.0, -1.0, float("nan")])
     def test_cap_must_be_positive(self, r_cap):
         # np.clip(step, 0, -1) would pin every exponent to -1
@@ -46,6 +52,34 @@ class TestUpdateRule:
         r = update_rates(np.array([1.0, 2.0]), 0.5, np.array([0.8, 0.2]),
                          np.array([1, 0], dtype=np.int64))
         assert r == pytest.approx([0.9, 2.1])
+
+    @pytest.mark.parametrize("args", [
+        ([0.5], 1.0, [1.0, 2.0], [0.0, 0.0]),
+        ([0.5, 0.5], 1.0, [1.0], [0.0]),
+        ([0.5, 0.5], 1.0, [1.0, 2.0], [0.0]),
+        (0.5, 1.0, 1.0, 0.0),
+        (np.array([[0.5]]), 1.0, np.array([[1.0]]), np.array([[0.0]])),
+    ])
+    def test_vectors_must_share_one_1d_shape(self, args):
+        # broadcasting turned one link's exponent into two, or two into one
+        with pytest.raises(ValueError, match="1-D with one entry per link"):
+            update_rates(*args)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha": True}, {"alpha": "1.0"}, {"alpha": np.bool_(True)},
+        {"r_cap": True}, {"r_cap": "25"},
+    ])
+    def test_scalars_must_be_real_numbers(self, kwargs):
+        # alpha=True stepped by 1 and r_cap=True capped every exponent at 1
+        args = {"r_prev": [0.5], "alpha": 1.0, "lambda_emp": [1.0],
+                "tau_emp": [0.0], **kwargs}
+        with pytest.raises(ValueError, match="must be a real number"):
+            update_rates(**args)
+
+    def test_numpy_scalars_accepted(self):
+        r = update_rates([0.5], np.float64(0.5), [1.0], [0.0],
+                         r_cap=np.int64(1))
+        assert r == pytest.approx([1.0])
 
 
 class TestConfig:

@@ -398,6 +398,84 @@ class TestTimerState:
                                  step=0.1, horizon=20.0)
 
 
+def advance_to_expiry(sim):
+    """Process events until the next one starts a transmission; return the
+    time and link of that event."""
+    while True:
+        t = min(sim.due)
+        link = sim.due.index(t)
+        if not sim.active >> link & 1:
+            return t, link
+        sim.advance(t)
+
+
+class TestProtocolErrors:
+    """Each invariant the event loop checks raises ``ProtocolError`` when one
+    piece of state is corrupted, and leaves ``now`` at the failing event and
+    ``active`` as the event left it."""
+
+    def test_suspended_link_expires(self):
+        topo, channel = conflict_pair()
+        sim = Simulator(topo, channel, seed=1)
+        while not sim.active:
+            sim.advance(sim.now + 0.1)
+        suspended = sim.due.index(math.inf)
+        assert not (sim.counting | sim.active) >> suspended & 1
+        active = sim.active
+        t = sim.now + 0.5 * (min(sim.due) - sim.now)
+        sim.due[suspended] = t
+        with pytest.raises(ProtocolError, match="expired while infeasible"):
+            sim.advance(t + 10.0)
+        assert sim.now == t
+        assert sim.active == active
+
+    def test_active_set_leaves_family(self, triangle):
+        sim = Simulator(*triangle, seed=4)
+        sim.advance(10.0)
+        t, link = advance_to_expiry(sim)
+        joined = sim.active | 1 << link
+        sim._indep_cache[joined] = False
+        with pytest.raises(ProtocolError,
+                           match="left the independent-set family"):
+            sim.advance(t + 10.0)
+        assert sim.now == t
+        assert sim.active == joined
+        assert not sim.counting >> link & 1
+
+    def test_backoff_loses_time(self, triangle):
+        sim = Simulator(*triangle, seed=4)
+        sim.advance(10.0)
+        t, link = advance_to_expiry(sim)
+        sim._draw[link] += 1e-3
+        with pytest.raises(ProtocolError, match="lost time"):
+            sim.advance(t + 10.0)
+        assert sim.now == t
+        assert sim.active >> link & 1
+
+
+class TestRecordCycles:
+    """Recording cycles is bookkeeping only: the trajectory is the same."""
+
+    def _assert_same_run(self, topo, channel, seed, horizon):
+        off, on = (Simulator(topo, channel, seed=seed, warmup=0.1 * horizon,
+                             record_cycles=record) for record in (False, True))
+        off.advance(horizon)
+        on.advance(horizon)
+        assert on.busy == off.busy
+        assert on.occupancy == off.occupancy
+        assert on.completed_total.tolist() == off.completed_total.tolist()
+        assert all(on.cycles) and not any(off.cycles)
+
+    def test_triangle(self, triangle):
+        self._assert_same_run(*triangle, seed=3, horizon=500.0)
+
+    def test_partial_range(self):
+        topo = sparse_topology(np.random.default_rng(13), 8, 26)
+        assert has_out_of_range_pair(topo)
+        self._assert_same_run(topo, build_channel_matrix(topo), seed=2,
+                              horizon=100.0)
+
+
 class TestSparseRange:
     """Partial-range runs that failed while each transmitter judged the
     links it heard: 12 lacked a cross-gain (``MissingGainError``) and one
