@@ -14,10 +14,15 @@ Trans. Commun., 1987), which hidden terminals break if the transmitter
 judges only the links it hears.  Sets are judged by
 ``setspace.independence_oracle``, which compiles ``is_independent`` once
 per topology into bitmask lookups and the same decode arithmetic.  The
-verdicts for one active set are cached as a bitmask; a new set's bitmask
-is bounded by those of the cached sets one link away, so only the links
-they leave open are judged.  Every start and end of a transmission
-suspends or resumes only the links whose verdict it flipped.  The event
+verdicts for one active set are cached as a bitmask, its frontier.  The
+family is downward closed, so a new active set's frontier is bounded by
+the previous one and by per-link pair rows (the frontier of each single
+link): when link i starts, it lies within the previous frontier and i's
+row; when link i ends, it holds the previous frontier plus i and lies
+within the rows of the links still active.  Only the links between the
+two bounds are judged.  The caches are emptied when one reaches
+``_CACHE_CAP`` entries.  Every start and end of a transmission suspends or
+resumes only the links whose verdict it flipped.  The event
 queue is one due time per link; the earliest goes next, the lowest link id
 among equal ones.  The run is deterministic given the seed, with one random
 stream per link, so the order of simultaneous events changes no draw.
@@ -51,6 +56,12 @@ from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
 # every link's buffer in ``Simulator.__init__`` stays cheap.
 _BUFFER = 64
 
+# Entries one verdict cache may hold before all of them are emptied.  A
+# benchmark run stays far below it (about 3k verdicts on dense-k25); at
+# K = 100 all in range the caches would otherwise grow by about 140k
+# verdicts per second of wall time, and most are never read again.
+_CACHE_CAP = 1 << 17
+
 
 def _exponentials(rng: np.random.Generator):
     """Endless standard exponentials from ``rng``, drawn ``_BUFFER`` at a time.
@@ -66,6 +77,19 @@ class ProtocolError(RuntimeError):
     """The event loop reached a state the protocol forbids."""
 
 
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not a nonnegative integer, bools included."""
+    if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
+            or seed < 0):
+        raise ValueError("seed must be a nonnegative integer")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number and not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run length, seed, rate parameters, and measurement warmup."""
@@ -76,13 +100,11 @@ class SimConfig:
     warmup: float = None
 
     def __post_init__(self):
-        if (not isinstance(self.seed, numbers.Integral)
-                or isinstance(self.seed, bool) or self.seed < 0):
-            raise ValueError("seed must be a nonnegative integer")
-        if not math.isfinite(self.horizon) or self.horizon < 0:
+        _check_seed(self.seed)
+        if not _finite(self.horizon) or self.horizon < 0:
             raise ValueError("horizon must be finite and nonnegative")
         warmup = 0.1 * self.horizon if self.warmup is None else self.warmup
-        if (not math.isfinite(warmup) or warmup < 0
+        if (not _finite(warmup) or warmup < 0
                 or (warmup >= self.horizon and self.horizon > 0)):
             raise ValueError("warmup must be finite and lie in [0, horizon)")
         object.__setattr__(self, "warmup", warmup)
@@ -126,11 +148,15 @@ class Simulator:
     one bitmask per active set (``_frontier``), read through the same cache
     as the invariant checks, so ``_frontier(mask)`` equals
     ``FeasibleFamily.frontier[mask]`` for every member of the family.
-    A miss reuses the cached bitmasks of the sets one link away, the previous
-    active set among them, and judges only the links they leave undecided.
-    Between events ``counting``, the links whose timers run, equals
-    ``_frontier(active)``, and ``due[i]`` is link i's next event time: its
-    completion if it is active, its expiry if it counts, else ``math.inf``.
+    Between events ``counting``, the links whose timers run, equals the
+    frontier of ``active``.  On a frontier cache miss ``advance`` bounds the
+    new set's frontier by ``counting`` and the pair rows ``_pairs[j]``, the
+    frontier of ``{j}``, each judged the first time a miss needs it, and
+    judges only the links between the bounds.  The verdict caches are
+    emptied together when one reaches ``_CACHE_CAP`` entries; the pair rows
+    stay.  ``due[i]`` is link i's next
+    event time: its completion if it is active, its expiry if it counts,
+    else ``math.inf``.
     ``advance`` takes the earliest, the lowest link id among equal ones,
     and handles each event in one pass of one loop on local variables; it
     goes through ``_frontier`` and ``_independent`` only when their caches
@@ -150,7 +176,8 @@ class Simulator:
         params = params or RateParams.uniform(k)
         self._backoff_scale = (1.0 / params.lam).tolist()
         self._hold_scale = (1.0 / params.mu).tolist()
-        if not math.isfinite(warmup) or warmup < 0:
+        _check_seed(seed)
+        if not _finite(warmup) or warmup < 0:
             raise ValueError("warmup must be finite and nonnegative")
         self.warmup = warmup
         self.record_cycles = record_cycles
@@ -158,6 +185,8 @@ class Simulator:
         self._frontier_cache = {}
         self._members = {}
         self._indep_cache = {}
+        self._all = (1 << k) - 1
+        self._pairs = [None] * k
         self._oracle = independence_oracle(topology, channel, self.phy)
 
         for l in topology.links:
@@ -202,40 +231,61 @@ class Simulator:
             raise ValueError("rates must be finite and positive, one per link")
         self._backoff_scale = (1.0 / lam).tolist()
 
-    def _frontier(self, mask: int) -> int:
+    def _frontier(self, mask: int, front: int = 0, maybe: int = None) -> int:
         """Bitmask of the links outside ``mask`` that may start transmitting.
 
-        Independence is downward closed, so a link outside the cached
-        frontier of ``mask`` minus one link stays out, and one inside the
-        cached frontier of ``mask`` plus one link stays in.  Only the links
-        those leave undecided are judged.  A miss also caches the members
-        of ``mask`` in ascending order, which ``advance`` walks while
-        ``mask`` is the active set.
+        ``front`` and ``maybe`` bound the answer: the links in ``front`` are
+        taken as in, those outside ``maybe`` as out, and only the rest are
+        judged.  Unbounded, every link outside ``mask`` is judged.  The
+        frontier is stored in the cache, with the members of ``mask`` in
+        ascending order, which ``advance`` walks while ``mask`` is the
+        active set.
         """
-        cache = self._frontier_cache
-        front = cache.get(mask)
-        if front is None:
-            n = self.topology.n_links
-            front, maybe = 0, ~mask & (1 << n) - 1
-            for j in range(n):
-                near = cache.get(mask ^ 1 << j)
-                if near is not None:
-                    if mask >> j & 1:
-                        maybe &= near
-                    else:
-                        front |= near
-            for i in bit_ids(maybe & ~front):
-                if self._independent(mask | 1 << i):
-                    front |= 1 << i
-            cache[mask] = front
-            self._members[mask] = tuple(bit_ids(mask))
+        if maybe is None:
+            maybe = self._all
+        for i in bit_ids(maybe & ~(front | mask)):
+            if self._independent(mask | 1 << i):
+                front |= 1 << i
+        if len(self._frontier_cache) >= _CACHE_CAP:
+            self._forget()
+        self._frontier_cache[mask] = front
+        self._members[mask] = tuple(bit_ids(mask))
         return front
 
+    def _pair_bound(self, mask: int) -> int:
+        """The links that may run alongside each member of ``mask`` alone.
+
+        That is the AND of the pair rows ``_pairs[j]`` over the members, and
+        by downward closure it holds the frontier of ``mask``.  A row is the
+        unbounded frontier of ``{j}``, judged the first time it is needed.
+        """
+        pairs, bound = self._pairs, self._all
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = low.bit_length() - 1
+            row = pairs[j]
+            if row is None:
+                row = pairs[j] = self._frontier(low)
+            bound &= row
+        return bound
+
     def _independent(self, mask: int) -> bool:
-        v = self._indep_cache.get(mask)
+        cache = self._indep_cache
+        v = cache.get(mask)
         if v is None:
-            v = self._indep_cache[mask] = self._oracle(mask)
+            v = self._oracle(mask)
+            if len(cache) >= _CACHE_CAP:
+                self._forget()
+            cache[mask] = v
         return v
+
+    def _forget(self) -> None:
+        """Empty the verdict caches in place: ``advance`` holds their
+        bound ``get``.  The pair rows are kept, one per link."""
+        self._indep_cache.clear()
+        self._frontier_cache.clear()
+        self._members.clear()
 
     # -- driving ------------------------------------------------------------
 
@@ -249,7 +299,7 @@ class Simulator:
         ``now``, ``active`` and ``counting`` are written back on the way
         out, also when a ``ProtocolError`` ends the run.
         """
-        if not math.isfinite(until) or until < self.now:
+        if not _finite(until) or until < self.now:
             raise ValueError("advance needs a finite time no earlier than now")
         now, active, counting = self.now, self.active, self.counting
         warmup, due, remaining = self.warmup, self.due, self.remaining
@@ -307,7 +357,15 @@ class Simulator:
                         cycles[link].append((now, drawn[link], duration))
                 front = frontier_of(active)
                 if front is None:
-                    front = self._frontier(active)
+                    # downward closure: when a link starts, the old frontier
+                    # and its pair row hold the new one; when a link ends,
+                    # the new one holds the old one plus that link
+                    if active & bit:
+                        front = self._frontier(
+                            active, 0, counting & self._pair_bound(bit))
+                    else:
+                        front = self._frontier(
+                            active, counting | bit, self._pair_bound(active))
                 stopped = counting & ~front
                 while stopped:
                     low = stopped & -stopped

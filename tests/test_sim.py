@@ -16,7 +16,7 @@ from csma_sic import (NetworkTopology, Link, Node, PhyConfig, RateParams,
                       run, steady_state, warm_coeff_table)
 from csma_sic import sim as sim_module
 from csma_sic.cli import main as cli_main
-from csma_sic.setspace import bit_ids, independence_oracle
+from csma_sic.setspace import ENUMERATION_CAP, bit_ids, independence_oracle
 from csma_sic.sim import ProtocolError
 from conftest import random_topology, triangle_topology
 
@@ -311,8 +311,15 @@ class TestFrontierAgreement:
 
 
 class TestBoundedMiss:
-    """A frontier built from the cached frontiers of its one-link neighbours
-    equals the frontier judged link by link from an empty cache."""
+    """A frontier built on a cache miss equals the frontier judged link by
+    link from an empty cache.
+
+    Between events ``counting`` is the frontier of the active set S.  The
+    family is downward closed, so when link i starts, the frontier of S + i
+    lies within ``counting`` and the pair row of i, the links c with {i, c}
+    independent; when link i ends, the frontier of S - i holds ``counting``
+    plus i and lies within the pair rows of the members of S - i.  A miss
+    judges only the links between the two bounds."""
 
     def _assert_cache_exact(self, topo, channel, seed, horizon):
         sim = Simulator(topo, channel, seed=seed)
@@ -334,6 +341,13 @@ class TestBoundedMiss:
         topo = random_topology(np.random.default_rng(7), 25)
         self._assert_cache_exact(topo, build_channel_matrix(topo), 3,
                                  horizon=30.0)
+
+    @pytest.mark.parametrize("seed", [1, 29])
+    def test_dense_k100(self, seed):
+        # all in range: most events miss the frontier cache
+        topo = random_topology(np.random.default_rng(1), 100)
+        self._assert_cache_exact(topo, build_channel_matrix(topo), seed,
+                                 horizon=10.0)
 
     def test_two_clusters(self):
         rng = np.random.default_rng(5)
@@ -358,15 +372,22 @@ class TestBoundedMiss:
 
 class TestTimerState:
     """Between events the running timers are exactly the frontier of the
-    active set, and the links with a pending event are exactly the counting
-    and the active ones, each due after ``now``; a counting link is due when
-    the remaining time counted from its last resume runs out."""
+    active set, judged apart from the simulator's caches, and the links with
+    a pending event are exactly the counting and the active ones, each due
+    after ``now``; a counting link is due when the remaining time counted
+    from its last resume runs out."""
 
     def _step_and_check(self, topo, channel, seed, step, horizon):
         sim = Simulator(topo, channel, seed=seed)
+        if topo.n_links <= ENUMERATION_CAP:
+            frontier = enumerate_feasible(topo, channel).frontier.__getitem__
+        else:
+            # unbounded, ``_frontier`` judges every link and reads no
+            # frontier cache; this simulator's verdicts are its own
+            frontier = Simulator(topo, channel)._frontier
         for t in np.arange(step, horizon + step / 2, step):
             sim.advance(float(t))
-            assert sim.counting == sim._frontier(sim.active), sim.now
+            assert sim.counting == frontier(sim.active), sim.now
             pending = sum(1 << i for i, d in enumerate(sim.due)
                           if d < math.inf)
             assert pending == sim.counting | sim.active, sim.now
@@ -391,11 +412,100 @@ class TestTimerState:
 
     def test_partial_range(self):
         rng = np.random.default_rng(13)
+        sizes = set()
         for seed in range(4):
             topo = sparse_topology(rng, 8, 26)
             assert has_out_of_range_pair(topo)
+            sizes.add(topo.n_links > ENUMERATION_CAP)
             self._step_and_check(topo, build_channel_matrix(topo), seed,
                                  step=0.1, horizon=20.0)
+        assert sizes == {False, True}  # both references are used
+
+    def test_dense_k25(self):
+        topo = random_topology(np.random.default_rng(7), 25)
+        self._step_and_check(topo, build_channel_matrix(topo), seed=3,
+                             step=0.1, horizon=20.0)
+
+
+class TestPairRows:
+    """``_pairs[j]``, filled on first use, is the frontier of ``{j}``: the
+    links c for which {j, c} is independent."""
+
+    def _assert_rows(self, topo, channel):
+        family = enumerate_feasible(topo, channel)
+        sim = Simulator(topo, channel)
+        assert sim._pairs == [None] * topo.n_links
+        for j in range(topo.n_links):
+            assert sim._pair_bound(1 << j) == family.frontier[1 << j], j
+            assert sim._pairs[j] == family.frontier[1 << j], j
+
+    def test_triangle(self, triangle):
+        self._assert_rows(*triangle)
+
+    def test_random_topologies(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            topo = random_topology(rng, int(rng.integers(2, 9)))
+            self._assert_rows(topo, build_channel_matrix(topo))
+
+    def test_partial_range(self):
+        rng = np.random.default_rng(67)
+        partial = 0
+        for _ in range(8):
+            topo = sparse_topology(rng, 4, 13)
+            partial += has_out_of_range_pair(topo)
+            self._assert_rows(topo, build_channel_matrix(topo))
+        assert partial > 0
+
+    def test_dense_k25_against_oracle(self):
+        scn = load_scenario(PERFBENCH_SCENARIOS / "dense-k25.yaml")
+        topo = scn.topology
+        oracle = independence_oracle(topo, scn.channel, topo.phy)
+        sim = Simulator(topo, scn.channel, phy=topo.phy, seed=1)
+        sim.advance(scn.sim.horizon)
+        k = topo.n_links
+        assert any(row is not None for row in sim._pairs)
+        for j in range(k):
+            row = sum(1 << c for c in range(k)
+                      if c != j and oracle(1 << j | 1 << c))
+            assert sim._pair_bound(1 << j) == row, j
+            assert sim._pairs[j] == row, j
+
+    def test_pair_bound_is_the_and_of_rows(self):
+        topo = random_topology(np.random.default_rng(71), 12)
+        sim = Simulator(topo, build_channel_matrix(topo))
+        rows = [sim._pair_bound(1 << j) for j in range(12)]
+        assert sim._pair_bound(0) == (1 << 12) - 1
+        for mask in (0b101, 0b111000, 0b100000000011):
+            expected = (1 << 12) - 1
+            for j in bit_ids(mask):
+                expected &= rows[j]
+            assert sim._pair_bound(mask) == expected
+
+
+class TestCacheCap:
+    """Emptying the verdict caches when one fills changes no verdict: the
+    run is the same and no cache ends above the cap."""
+
+    def test_k100_small_cap(self, monkeypatch):
+        topo = random_topology(np.random.default_rng(1), 100)
+        channel = build_channel_matrix(topo)
+        default = Simulator(topo, channel, seed=1, warmup=5.0)
+        default.advance(60.0)
+        assert len(default._indep_cache) > 4 * 256
+        monkeypatch.setattr(sim_module, "_CACHE_CAP", 256)
+        capped = Simulator(topo, channel, seed=1, warmup=5.0)
+        for t in range(1, 61):
+            capped.advance(float(t))
+            for cache in (capped._indep_cache, capped._frontier_cache,
+                          capped._members):
+                assert len(cache) <= 256, capped.now
+            assert capped.active in capped._members
+        assert capped.occupancy == default.occupancy
+        assert capped.busy == default.busy
+        assert capped.completed == default.completed
+        assert (capped.completed_total.tolist()
+                == default.completed_total.tolist())
 
 
 def advance_to_expiry(sim):
@@ -704,10 +814,39 @@ class TestConfigValidation:
             SimConfig(horizon=10.0, warmup=float("nan"))
         assert SimConfig(horizon=10.0).warmup == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("warmup", [float("nan"), float("inf"), -5.0])
+    @pytest.mark.parametrize("warmup", [True, "1.0"])
+    def test_warmup_and_horizon_must_be_real(self, warmup):
+        with pytest.raises(ValueError, match="warmup must be finite"):
+            SimConfig(horizon=10.0, warmup=warmup)
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            SimConfig(horizon=warmup)
+
+    @pytest.mark.parametrize("warmup",
+                             [float("nan"), float("inf"), -5.0, True, "1.0"])
     def test_simulator_warmup_bounds(self, triangle, warmup):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="warmup must be finite and "
+                                             "nonnegative"):
             Simulator(*triangle, warmup=warmup)
+
+    @pytest.mark.parametrize("seed", [-1, 1.7, 1.0, True, "5", None])
+    def test_simulator_seed_must_be_nonnegative_integer(self, triangle, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative "
+                                             "integer"):
+            Simulator(*triangle, seed=seed)
+
+    def test_simulator_numpy_integer_seed_accepted(self, triangle):
+        a, b = Simulator(*triangle, seed=np.int64(5)), Simulator(*triangle,
+                                                                 seed=5)
+        a.advance(50.0)
+        b.advance(50.0)
+        assert a.occupancy == b.occupancy
+
+    @pytest.mark.parametrize("until", [True, "5.0", None])
+    def test_advance_needs_a_real_time(self, triangle, until):
+        sim = Simulator(*triangle, seed=4)
+        with pytest.raises(ValueError, match="advance needs a finite time"):
+            sim.advance(until)
+        assert sim.now == 0.0 and type(sim.now) is float
 
     def test_advance_never_goes_back(self, triangle):
         sim = Simulator(*triangle, seed=4)
