@@ -17,8 +17,7 @@ from .setspace import (EnumerationCapError, FeasibleFamily, LinkSet,
                        independence_oracle, is_independent,
                        reachable_subfamily)
 from .ctmc import (RateParams, SteadyState, detailed_balance_residual,
-                   expected_throughput, global_balance_residual, steady_state,
-                   transition_rates)
+                   expected_throughput, global_balance_residual, steady_state)
 from .sim import SimConfig, SimStats, Simulator, empirical_throughput, run
 from .adapt import AdaptConfig, AdaptTrace, adapt_run, update_rates
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario

@@ -114,14 +114,16 @@ def adapt_run(topology: NetworkTopology, channel: ChannelMatrix, phy: PhyConfig,
     Arrivals are virtual: a deterministic (or Poisson) counter per link at
     the target rate.  Service is the count of packets completed in each
     epoch.  Virtual queues accumulate arrivals minus services, floored at
-    zero.
+    zero.  The links hold the channel for the service rates ``mu`` of
+    ``sim_cfg.params``, or for unit time when it has none.
     """
     k = topology.n_links
     x = cfg.target_rates
     if x.shape != (k,):
         raise ValueError("target_rates must have one entry per link")
     r = np.zeros(k)
-    sim = Simulator(topology, channel, phy=phy, params=RateParams(r),
+    mu = None if sim_cfg.params is None else sim_cfg.params.mu
+    sim = Simulator(topology, channel, phy=phy, params=RateParams(r, mu),
                     seed=sim_cfg.seed, warmup=0.0)
     arr_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=sim_cfg.seed, spawn_key=(0xA881,))))

@@ -24,6 +24,11 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
+def _name(bits: int, width: int) -> str:
+    """A link bitmask printed as its set of link ids, ``{0,2}``."""
+    return str(setspace.LinkSet(bits, width))
+
+
 def _write_table(path, rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -37,7 +42,8 @@ def _analyze_rows(scn: Scenario):
     family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
     q = ctmc.steady_state(family, scn.params)
     tau = q.throughput()
-    rows = [("Q", str(d), p, None) for d, p in sorted(q.probs.items())]
+    rows = [("Q", _name(bits, family.width), p, None)
+            for bits, p in zip(family.sets, q.probs.tolist())]
     rows += [("tau", str(i), t, None) for i, t in enumerate(tau)]
     return family, q, tau, rows
 
@@ -45,8 +51,8 @@ def _analyze_rows(scn: Scenario):
 def cmd_analyze(scn: Scenario, out=None) -> int:
     family, q, tau, rows = _analyze_rows(scn)
     print(f"feasible sets: {len(family)}")
-    for d, p in sorted(q.probs.items()):
-        print(f"Q{d} = {_fmt(p)}")
+    for _, name, p, _ in rows[:len(family)]:
+        print(f"Q{name} = {_fmt(p)}")
     for i, t in enumerate(tau):
         print(f"tau[{i}] = {_fmt(t)}")
     if out:
@@ -62,15 +68,15 @@ def cmd_simulate(scn: Scenario, out=None) -> int:
         family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
         q = ctmc.steady_state(family, scn.params)
         tau = q.throughput()
-        ana_occ = {d.bits: p for d, p in q.probs.items()}
-        width = family.width
+        ana_occ = dict(zip(family.sets, q.probs.tolist()))
     except EnumerationCapError:
-        family, q, tau, ana_occ, width = None, None, None, {}, scn.topology.n_links
+        tau, ana_occ = None, {}
 
+    width = scn.topology.n_links
     rows = []
     for bits in sorted(set(occ) | set(ana_occ)):
-        name = str(setspace.LinkSet(bits, width))
-        rows.append(("occupancy", name, ana_occ.get(bits), occ.get(bits, 0.0)))
+        rows.append(("occupancy", _name(bits, width), ana_occ.get(bits),
+                     occ.get(bits, 0.0)))
     for i in range(scn.topology.n_links):
         rows.append(("tau", str(i), None if tau is None else float(tau[i]),
                      float(emp_tau[i])))
@@ -97,10 +103,11 @@ def cmd_capacity(scn: Scenario, x=None, out=None) -> int:
     print(f"inside capacity region: {'yes' if ok else 'no'}")
     rows = [("x", str(i), float(v), None) for i, v in enumerate(x)]
     if ok:
-        for d, a in zip(family.sets, alpha):
+        for bits, a in zip(family.sets, alpha):
+            name = _name(bits, family.width)
             if a > 1e-12:
-                print(f"alpha{d} = {_fmt(a)}")
-            rows.append(("alpha", str(d), float(a), None))
+                print(f"alpha{name} = {_fmt(a)}")
+            rows.append(("alpha", name, float(a), None))
     if out:
         _write_table(out, rows)
     return 0
@@ -113,7 +120,10 @@ def cmd_adapt(scn: Scenario, out=None) -> int:
     family = None
     try:
         family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
-        ok, _ = setspace.capacity_contains(scn.adapt.target_rates, family)
+        # the region holds busy-time fractions: a link served at rate x
+        # is busy x / mu of the time
+        ok, _ = setspace.capacity_contains(
+            scn.adapt.target_rates / scn.params.mu, family)
         if not ok:
             print("warning: target rates are outside the capacity region; "
                   "expect growing queues")

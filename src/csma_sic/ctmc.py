@@ -3,7 +3,9 @@
 Activation of link i occurs at rate lambda_i = exp(r_i) whenever the
 augmented set stays independent; an active link completes at rate mu_i.
 The chain is reversible with a product-form stationary law: the weight of
-a state is the product of lambda_i / mu_i over its active links.
+a state is the product of lambda_i / mu_i over its active links.  The
+states are the family's int bitmasks, and the law is an array aligned with
+them.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 
 # ``eta`` and ``reachable_subfamily`` are not called here; perfbench/run.py
 # wraps ``ctmc.eta`` and ``ctmc.reachable_subfamily`` to count calls.
-from .setspace import (FeasibleFamily, LinkSet, bit_ids, eta,  # noqa: F401
+from .setspace import (FeasibleFamily, bit_ids, eta,  # noqa: F401
                        reachable_subfamily)
 
 
@@ -74,40 +76,33 @@ class RateParams:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Stationary probabilities over the feasible sets, the chain's states."""
+    """Stationary probabilities over the feasible sets, the chain's states.
 
-    probs: dict  # LinkSet -> probability
+    ``probs[n]`` is the probability of the member ``family.sets[n]``.
+    """
+
+    family: FeasibleFamily
+    probs: np.ndarray
 
     def __post_init__(self):
+        probs = np.asarray(self.probs, dtype=float)
+        object.__setattr__(self, "probs", probs)
+        if probs.shape != (len(self.family),):
+            raise ValueError("need one probability per member of the family")
         # exactly rounded: a naive sum over 10^5 sets drifts past 1e-12
-        total = math.fsum(self.probs.values())
+        total = math.fsum(probs.tolist())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < 0 for p in self.probs.values()):
+        if np.any(probs < 0):
             raise ValueError("negative probability")
-
-    def prob(self, d: LinkSet) -> float:
-        return self.probs.get(d, 0.0)
 
     def throughput(self) -> np.ndarray:
         """Per-link stationary activity probability (long-run throughput)."""
-        tau = np.zeros(next(iter(self.probs)).width)
-        for d, p in self.probs.items():
-            for i in d.ids():
+        tau = [0.0] * self.family.width
+        for bits, p in zip(self.family.sets, self.probs.tolist()):
+            for i in bit_ids(bits):
                 tau[i] += p
-        return tau
-
-
-def transition_rates(family: FeasibleFamily, params: RateParams) -> dict:
-    """Directed transition rates keyed by (from_ordinal, to_ordinal)."""
-    lam = params.lam
-    rates = {}
-    for a, d in enumerate(family.sets):
-        for i in bit_ids(family.frontier[d.bits]):
-            b = family.ordinal(d.bits | 1 << i)
-            rates[(a, b)] = lam[i]
-            rates[(b, a)] = params.mu[i]
-    return rates
+        return np.array(tau)
 
 
 def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
@@ -115,35 +110,41 @@ def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
 
     The chain's state space is the family itself: a family is downward
     closed, so every member is reachable from the empty set by single-link
-    additions, and every member carries mass.  scipy's ``logsumexp`` is
-    imported on the first call, not with the package.
+    additions, and every member carries mass.  A state's log weight sums
+    the per-link weights ``r_i - log(mu_i)`` over its members in ascending
+    link order.  scipy's ``logsumexp`` is imported on the first call, not
+    with the package.
     """
     # imported here: about 48 MB and 0.5 s that K > 20 runs never use
     from scipy.special import logsumexp
 
-    logw = np.array([
-        sum(params.r[i] - np.log(params.mu[i]) for i in d.ids())
-        for d in family.sets
-    ])
+    w = (params.r - np.log(params.mu)).tolist()
+    logw = np.array([sum(w[i] for i in bit_ids(bits)) for bits in family.sets])
     if not np.all(np.isfinite(logw)):
         raise ValueError("non-finite state weight; |r| too large")
-    probs = np.exp(logw - logsumexp(logw))
-    return SteadyState(probs={d: float(p) for d, p in zip(family.sets, probs)})
+    return SteadyState(family, np.exp(logw - logsumexp(logw)))
+
+
+def _law(family: FeasibleFamily, q: SteadyState) -> dict:
+    """Member bits -> stationary probability of ``q``, a law over ``family``."""
+    if q.family != family:
+        raise ValueError("the law is over another family")
+    return dict(zip(family.sets, q.probs.tolist()))
 
 
 def global_balance_residual(family: FeasibleFamily, params: RateParams,
                             q: SteadyState) -> float:
     """Max absolute violation of the global balance equations."""
     lam = params.lam
-    prob = {d.bits: p for d, p in q.probs.items()}
+    prob = _law(family, q)
     worst = 0.0
-    for d, qd in q.probs.items():
-        bits = d.bits
+    for bits, qd in prob.items():
+        ids = tuple(bit_ids(bits))
         up = tuple(bit_ids(family.frontier[bits]))
-        out_rate = sum(params.mu[i] for i in d.ids())
+        out_rate = sum(params.mu[i] for i in ids)
         out_rate += sum(lam[j] for j in up)
-        inflow = sum(lam[i] * prob.get(bits & ~(1 << i), 0.0) for i in d.ids())
-        inflow += sum(params.mu[j] * prob.get(bits | 1 << j, 0.0) for j in up)
+        inflow = sum(lam[i] * prob[bits & ~(1 << i)] for i in ids)
+        inflow += sum(params.mu[j] * prob[bits | 1 << j] for j in up)
         worst = max(worst, abs(out_rate * qd - inflow))
     return worst
 
@@ -152,11 +153,11 @@ def detailed_balance_residual(family: FeasibleFamily, params: RateParams,
                               q: SteadyState) -> float:
     """Max absolute violation of pairwise detailed balance over chain edges."""
     lam = params.lam
-    prob = {d.bits: p for d, p in q.probs.items()}
+    prob = _law(family, q)
     worst = 0.0
-    for d, qd in q.probs.items():
-        for j in bit_ids(family.frontier[d.bits]):
-            worst = max(worst, abs(params.mu[j] * prob.get(d.bits | 1 << j, 0.0)
+    for bits, qd in prob.items():
+        for j in bit_ids(family.frontier[bits]):
+            worst = max(worst, abs(params.mu[j] * prob[bits | 1 << j]
                                    - lam[j] * qd))
     return worst
 

@@ -6,9 +6,11 @@ in-range active transmitters.  Dropping a link removes one decode stage and
 can only lower the interference at the stages left, the half-duplex rule is
 pairwise and the range rule per link, so every subset of an independent set
 is independent.  Enumeration therefore grows the family from the empty set,
-and a family must be downward closed.  It caches one frontier per member,
-the bitmask of links that can join it, and the chain's moves are read from
-it.
+and a family must be downward closed.  A set is an int bitmask, bit i for
+link i, in the family, the frontier and the capacity LP alike; ``LinkSet``
+is the argument of ``is_independent`` and the printer of a mask.  The
+family caches one frontier per member, the bitmask of links that can join
+it, and the chain's moves are read from it.
 """
 
 from dataclasses import dataclass
@@ -60,15 +62,6 @@ class LinkSet:
     def ids(self) -> tuple:
         return tuple(bit_ids(self.bits))
 
-    def contains(self, link_id: int) -> bool:
-        return bool(self.bits >> link_id & 1)
-
-    def add(self, link_id: int) -> "LinkSet":
-        return LinkSet(self.bits | (1 << link_id), self.width)
-
-    def remove(self, link_id: int) -> "LinkSet":
-        return LinkSet(self.bits & ~(1 << link_id), self.width)
-
     def __len__(self) -> int:
         return bin(self.bits).count("1")
 
@@ -78,11 +71,12 @@ class LinkSet:
 
 @dataclass(frozen=True)
 class FeasibleFamily:
-    """All independent sets of a topology, sorted by bit pattern.
+    """All independent sets of a topology as link bitmasks, in ascending order.
 
-    The members are distinct and downward closed: the empty set is one,
-    and dropping any link from a member gives a member.  So every member is
-    reachable from the empty set one link at a time.
+    The members are distinct ints in ``[0, 2**width)`` and downward closed:
+    the empty set ``0`` is one, and dropping any link from a member gives a
+    member.  So every member is reachable from the empty set one link at a
+    time.
     """
 
     sets: tuple
@@ -90,43 +84,38 @@ class FeasibleFamily:
 
     def __post_init__(self):
         ordered = tuple(sorted(self.sets))
-        index = {s.bits: k for k, s in enumerate(ordered)}
+        members = frozenset(ordered)
         object.__setattr__(self, "sets", ordered)
-        object.__setattr__(self, "_index", index)
-        if len(index) != len(ordered):
+        object.__setattr__(self, "_members", members)
+        if len(members) != len(ordered):
             raise ValueError("a family's members must be distinct")
-        if any(s.width != self.width for s in ordered):
-            raise ValueError("every member must have the family's width")
-        if not index or any(bits & ~(1 << i) not in index
-                            for bits in index for i in bit_ids(bits)):
+        if ordered and not 0 <= ordered[0] <= ordered[-1] < 1 << self.width:
+            raise ValueError("every member must lie within the family's width")
+        if not members or any(bits & ~(1 << i) not in members
+                              for bits in ordered for i in bit_ids(bits)):
             raise ValueError("a feasible family must be nonempty and closed "
                              "under dropping a link")
 
     def __len__(self) -> int:
         return len(self.sets)
 
-    def __contains__(self, d) -> bool:
-        bits = d.bits if isinstance(d, LinkSet) else int(d)
-        return bits in self._index
-
-    def ordinal(self, d) -> int:
-        bits = d.bits if isinstance(d, LinkSet) else int(d)
-        return self._index[bits]
+    def __contains__(self, bits) -> bool:
+        return bits in self._members
 
     @cached_property
     def frontier(self) -> dict:
         """Member bits -> bitmask of the links outside it that can join it."""
         return {
             bits: sum(1 << i for i in range(self.width)
-                      if not bits >> i & 1 and bits | 1 << i in self._index)
-            for bits in self._index
+                      if not bits >> i & 1 and bits | 1 << i in self._members)
+            for bits in self.sets
         }
 
     def vectors(self) -> np.ndarray:
         """Family as a (m, K) 0/1 matrix, one row per set."""
         v = np.zeros((len(self.sets), self.width))
-        for k, s in enumerate(self.sets):
-            for i in s.ids():
+        for k, bits in enumerate(self.sets):
+            for i in bit_ids(bits):
                 v[k, i] = 1.0
         return v
 
@@ -236,11 +225,11 @@ def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix,
     return independent
 
 
-def eta(d: LinkSet, family: FeasibleFamily) -> tuple:
-    """Links that can be added to ``d`` keeping the result in the family."""
-    if d not in family:
+def eta(bits: int, family: FeasibleFamily) -> tuple:
+    """Links that can be added to ``bits`` keeping the result in the family."""
+    if bits not in family:
         raise ValueError("set is not a member of the family")
-    return tuple(bit_ids(family.frontier[d.bits]))
+    return tuple(bit_ids(family.frontier[bits]))
 
 
 def enumerate_feasible(topology: NetworkTopology, channel: ChannelMatrix,
@@ -260,7 +249,7 @@ def enumerate_feasible(topology: NetworkTopology, channel: ChannelMatrix,
             f"{k} links exceeds the enumeration cap of {cap}; use the simulator"
         )
     phy = phy or topology.phy
-    sets = [LinkSet(0, k)]
+    sets = [0]
     todo = [(0, range(k))]
     while todo:
         bits, later = todo.pop()
@@ -268,7 +257,7 @@ def enumerate_feasible(topology: NetworkTopology, channel: ChannelMatrix,
                     if is_independent(LinkSet(bits | 1 << i, k), topology,
                                       channel, phy)]
         for n, i in enumerate(children):
-            sets.append(LinkSet(bits | 1 << i, k))
+            sets.append(bits | 1 << i)
             todo.append((bits | 1 << i, children[n + 1:]))
     return FeasibleFamily(tuple(sets), k)
 
@@ -288,18 +277,17 @@ def reachable_subfamily(family: FeasibleFamily) -> tuple:
             if nxt not in seen:
                 seen.add(nxt)
                 todo.append(nxt)
-    reachable = tuple(s for s in family.sets if s.bits in seen)
-    unreachable = tuple(s for s in family.sets if s.bits not in seen)
+    reachable = tuple(bits for bits in family.sets if bits in seen)
+    unreachable = tuple(bits for bits in family.sets if bits not in seen)
     return reachable, unreachable
 
 
-def capacity_contains(x, family: FeasibleFamily, strict: bool = False):
+def capacity_contains(x, family: FeasibleFamily):
     """Capacity-region membership of a per-link rate vector.
 
     Solves the small LP for weights alpha >= 0 with sum(alpha) = 1 whose
     mixture of set vectors dominates ``x`` componentwise (time sharing plus
-    idling).  With ``strict=True`` the mixture must equal ``x`` exactly.
-    Returns ``(verdict, alpha)`` where ``alpha`` aligns with
+    idling).  Returns ``(verdict, alpha)`` where ``alpha`` aligns with
     ``family.sets`` on success and is None on rejection.  scipy's LP
     solver is imported on the first call, not with the package.
     """
@@ -313,19 +301,10 @@ def capacity_contains(x, family: FeasibleFamily, strict: bool = False):
         raise ValueError("rate vector entries must be finite")
     v = family.vectors()  # (m, K)
     m = len(family)
-    a_eq = [np.ones((1, m))]
-    b_eq = [np.array([1.0])]
-    if strict:
-        a_eq.append(v.T)
-        b_eq.append(x)
-        a_ub, b_ub = None, None
-    else:
-        a_ub = -v.T
-        b_ub = -x
     res = linprog(
         c=np.zeros(m),
-        A_ub=a_ub, b_ub=b_ub,
-        A_eq=np.vstack(a_eq), b_eq=np.concatenate(b_eq),
+        A_ub=-v.T, b_ub=-x,
+        A_eq=np.ones((1, m)), b_eq=np.array([1.0]),
         bounds=(0, None), method="highs",
     )
     if res.status != 0:

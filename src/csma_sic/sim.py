@@ -174,6 +174,8 @@ class Simulator:
         self.phy = phy or topology.phy
         k = topology.n_links
         params = params or RateParams.uniform(k)
+        if params.r.shape != (k,):
+            raise ValueError("params must hold one rate per link")
         self._backoff_scale = (1.0 / params.lam).tolist()
         self._hold_scale = (1.0 / params.mu).tolist()
         _check_seed(seed)

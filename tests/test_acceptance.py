@@ -58,9 +58,9 @@ def _tv_and_tau_gap(topo, channel, params, seed):
     stats = run(topo, channel, topo.phy,
                 SimConfig(horizon=1e6, seed=seed, params=params))
     frac = stats.occupancy_fractions()
-    tv = 0.5 * (sum(abs(frac.get(s.bits, 0.0) - p) for s, p in ss.probs.items())
-                + sum(f for m, f in frac.items()
-                      if m not in {s.bits for s in ss.probs}))
+    tv = 0.5 * (sum(abs(frac.get(bits, 0.0) - p)
+                    for bits, p in zip(fam.sets, ss.probs))
+                + sum(f for m, f in frac.items() if m not in fam))
     tau_gap = float(np.max(np.abs(empirical_throughput(stats) - tau)))
     return tv, tau_gap
 
@@ -106,7 +106,8 @@ def test_3_local_global_equivalence():
         local = check_all_feasible(link.tx, link.rx,
                                    warm_coeff_table(topo, channel, link.tx),
                                    txs, topo.phy)
-        glob = is_independent(base.add(cand), topo, channel)
+        glob = is_independent(LinkSet(base.bits | 1 << cand, k), topo,
+                              channel)
         mismatches += local != glob
         checked += 1
     _report(3, "local/global feasibility equivalence", mismatches == 0,

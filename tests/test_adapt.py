@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from csma_sic import AdaptConfig, SimConfig, adapt_run, update_rates
+from csma_sic import (AdaptConfig, RateParams, SimConfig, adapt_run,
+                      update_rates)
 
 
 class TestUpdateRule:
@@ -185,6 +186,24 @@ class TestLoop:
         # arrival counts average out near the target
         assert trace.lambda_emp.mean(axis=0) == pytest.approx(
             [0.3, 0.3, 0.3], abs=0.05)
+
+    def test_service_rates_honoured(self, triangle):
+        # a link holds the channel for 1 / mu, so at mu = 2 it serves the
+        # same packets in half the busy time and the exponents move less
+        topo, channel = triangle
+        cfg = AdaptConfig(target_rates=[0.4, 0.4, 0.4], max_updates=20,
+                          step_a0=5.0, step_i0=1e18)
+        runs = {}
+        for mu in (1.0, 2.0):
+            params = RateParams(np.zeros(3), np.full(3, mu))
+            runs[mu] = adapt_run(topo, channel, topo.phy, cfg,
+                                 SimConfig(horizon=1.0, seed=1, warmup=0.0,
+                                           params=params))
+        unit = adapt_run(topo, channel, topo.phy, cfg,
+                         SimConfig(horizon=1.0, seed=1, warmup=0.0))
+        assert np.array_equal(runs[1.0].r, unit.r)
+        assert not np.array_equal(runs[2.0].r, runs[1.0].r)
+        assert runs[2.0].r[-1].mean() < runs[1.0].r[-1].mean()
 
     def test_trace_shapes(self, triangle):
         topo, channel = triangle

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csma_sic import (FeasibleFamily, LinkSet, RateParams, build_channel_matrix,
+from csma_sic import (FeasibleFamily, RateParams, build_channel_matrix,
                       SteadyState, detailed_balance_residual,
                       enumerate_feasible, expected_throughput,
-                      global_balance_residual, steady_state, transition_rates)
+                      global_balance_residual, steady_state)
 from conftest import random_topology
 
 
 def chain_family(k):
     """Family of the empty set and all singletons."""
-    sets = [LinkSet(0, k)] + [LinkSet.from_ids([i], k) for i in range(k)]
-    return FeasibleFamily(tuple(sets), k)
+    return FeasibleFamily((0,) + tuple(1 << i for i in range(k)), k)
+
+
+def prob(ss, bits):
+    """Stationary probability of the member ``bits``."""
+    return ss.probs[ss.family.sets.index(bits)]
 
 
 class TestRateParams:
@@ -53,8 +57,8 @@ class TestTriangleSteadyState:
         topo, channel = triangle
         fam = enumerate_feasible(topo, channel)
         ss = steady_state(fam, RateParams.uniform(3))
-        for s in fam.sets:
-            assert ss.prob(s) == pytest.approx(1 / 7, abs=1e-12)
+        assert ss.family is fam
+        assert ss.probs.tolist() == pytest.approx([1 / 7] * 7, abs=1e-12)
 
     def test_throughput_three_sevenths(self, triangle):
         topo, channel = triangle
@@ -78,7 +82,7 @@ class TestClosedForm:
         params = RateParams(r=np.array([0.7]), mu=np.array([2.0]))
         ss = steady_state(fam, params)
         lam = math.exp(0.7)
-        assert ss.prob(LinkSet.from_ids([0], 1)) == pytest.approx(
+        assert prob(ss, 0b1) == pytest.approx(
             lam / (lam + 2.0), abs=1e-12)
 
     def test_star_of_mutually_excluded_links(self):
@@ -92,7 +96,7 @@ class TestClosedForm:
         w = np.exp(r) / mu
         z = 1.0 + w.sum()
         for i in range(k):
-            assert ss.prob(LinkSet.from_ids([i], k)) == pytest.approx(
+            assert prob(ss, 1 << i) == pytest.approx(
                 w[i] / z, abs=1e-12)
         tau = expected_throughput(fam, params)
         assert tau == pytest.approx(w / z, abs=1e-12)
@@ -100,33 +104,15 @@ class TestClosedForm:
     def test_independent_links_factorize(self):
         # two links that never conflict: joint distribution is a product
         k = 2
-        sets = tuple(LinkSet(b, k) for b in range(4))
-        fam = FeasibleFamily(sets, k)
+        fam = FeasibleFamily(tuple(range(4)), k)
         params = RateParams(r=np.array([0.4, -1.0]), mu=np.array([1.0, 3.0]))
         ss = steady_state(fam, params)
         w = np.exp(params.r) / params.mu
         p_on = w / (1 + w)
-        assert ss.prob(LinkSet.from_ids([0, 1], k)) == pytest.approx(
+        assert prob(ss, 0b11) == pytest.approx(
             p_on[0] * p_on[1], abs=1e-12)
-        assert ss.prob(LinkSet(0, k)) == pytest.approx(
+        assert prob(ss, 0) == pytest.approx(
             (1 - p_on[0]) * (1 - p_on[1]), abs=1e-12)
-
-
-class TestTransitionRates:
-    def test_structure(self, triangle):
-        topo, channel = triangle
-        fam = enumerate_feasible(topo, channel)
-        params = RateParams.uniform(3)
-        q = transition_rates(fam, params)
-        # activations from empty plus deactivations back, and pair moves
-        empty = fam.ordinal(LinkSet(0, 3))
-        ups = [pair for pair in q if pair[0] == empty]
-        assert len(ups) == 3
-        for (a, b), rate in q.items():
-            assert rate > 0
-            # single-link difference between the endpoint sets
-            diff = fam.sets[a].bits ^ fam.sets[b].bits
-            assert diff and diff & (diff - 1) == 0
 
 
 class TestNumericalStability:
@@ -135,20 +121,36 @@ class TestNumericalStability:
         fam = enumerate_feasible(topo, channel)
         params = RateParams(r=np.array([700.0, -700.0, 0.0]))
         ss = steady_state(fam, params)
-        total = sum(ss.probs.values())
+        total = sum(ss.probs.tolist())
         assert total == pytest.approx(1.0, abs=1e-12)
-        assert all(p >= 0 for p in ss.probs.values())
+        assert np.all(ss.probs >= 0)
 
     def test_total_checked_with_exact_sum(self):
         # 10^5 equal probabilities sum to 1 + 1.1e-16 exactly, but a naive
         # running sum drifts by 1.9e-12, past the 1e-12 tolerance
         n = 100_000
-        probs = {LinkSet(b, 17): 1.0 / n for b in range(n)}
-        assert abs(sum(probs.values()) - 1.0) > 1e-12
-        SteadyState(probs)
-        probs[LinkSet(0, 17)] += 1e-11
+        fam = FeasibleFamily(tuple(range(n)), 17)
+        probs = np.full(n, 1.0 / n)
+        assert abs(sum(probs.tolist()) - 1.0) > 1e-12
+        SteadyState(fam, probs)
+        probs[0] += 1e-11
         with pytest.raises(ValueError, match="probabilities sum to"):
-            SteadyState(probs)
+            SteadyState(fam, probs)
+
+    def test_one_probability_per_member(self):
+        fam = chain_family(2)
+        with pytest.raises(ValueError, match="one probability per member"):
+            SteadyState(fam, [0.5, 0.5])
+        with pytest.raises(ValueError, match="negative probability"):
+            SteadyState(fam, [0.5, 0.75, -0.25])
+
+    def test_residuals_refuse_a_law_over_another_family(self):
+        params = RateParams.uniform(2)
+        ss = steady_state(chain_family(2), params)
+        other = FeasibleFamily(tuple(range(4)), 2)
+        for residual in (global_balance_residual, detailed_balance_residual):
+            with pytest.raises(ValueError, match="another family"):
+                residual(other, params, ss)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)

@@ -191,6 +191,7 @@ class TestLocalGlobalEquivalence:
             for i in active_ids:
                 txs.register(topo.links[i].tx, topo.links[i].rx)
             local = check_all_feasible(link.tx, link.rx, coeffs, txs, topo.phy)
-            glob = is_independent(base.add(cand), topo, channel)
+            glob = is_independent(LinkSet(base.bits | 1 << cand, k), topo,
+                                  channel)
             assert local == glob
             checked += 1

@@ -227,6 +227,21 @@ class TestCli:
         assert main(["adapt", str(p)]) == 0
         assert "outside the capacity region" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mu, warns", [(1.0, True), (2.0, False)])
+    def test_adapt_region_check_in_busy_time(self, tmp_path, capsys, mu,
+                                             warns):
+        # 0.9 packets per unit time keep a link busy 0.9 / mu of the time;
+        # the triangle's region reaches 2/3 on every link
+        d = triangle_scenario_dict()
+        d["rates"]["mu"] = [mu] * 3
+        d["adapt"]["target_rates"] = [0.9, 0.9, 0.9]
+        d["adapt"]["max_updates"] = 5
+        p = tmp_path / "hot.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main(["adapt", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert ("outside the capacity region" in out) == warns
+
     def test_bad_scenario_exit_code(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("topology: 3\n")
@@ -339,16 +354,24 @@ class TestCli:
         assert captured.out == ""
 
     def test_zero_link_simulate(self, tmp_path, capsys):
+        # the family of no links is the empty set alone, of width 0
         d = {"topology": {"nodes": [{"id": 0, "pos": [0.0, 0.0]}],
                           "links": []},
-             "sim": {"horizon": 100.0}}
+             "sim": {"horizon": 100.0},
+             "capacity": {"x": []},
+             "adapt": {"target_rates": [], "max_updates": 3}}
         p = tmp_path / "empty.yaml"
         p.write_text(yaml.safe_dump(d))
-        assert main(["simulate", str(p)]) == 0
-        captured = capsys.readouterr()
-        assert ("occupancy {}: analytical=1 empirical=1 |diff|=0\n"
-                in captured.out)
-        assert captured.err == ""
+        for command, lines in (
+                ("simulate",
+                 ["occupancy {}: analytical=1 empirical=1 |diff|=0"]),
+                ("analyze", ["feasible sets: 1", "Q{} = 1"]),
+                ("capacity", ["inside capacity region: yes", "alpha{} = 1"]),
+                ("adapt", ["updates: 3, final-quarter mean service rate: []"])):
+            assert main([command, str(p)]) == 0, command
+            captured = capsys.readouterr()
+            assert all(line + "\n" in captured.out for line in lines), command
+            assert captured.err == "", command
 
     def test_partial_range_scenario(self, tmp_path, capsys):
         # not every node hears every other; the simulator stays inside the

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+import yaml
 
 from csma_sic import (NetworkTopology, Link, Node, PhyConfig, RateParams,
                       SimConfig, Simulator, TxTable, build_channel_matrix,
@@ -101,6 +102,14 @@ class TestBasicRuns:
         assert sim.now == 100.0
         assert sim.occupancy == {0: 100.0}
         assert sim.completed_total.tolist() == []
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_params_need_one_rate_per_link(self, triangle, k):
+        # fewer rates once ran out of timers in ``advance``; more ran
+        # silently on the first three
+        topo, channel = triangle
+        with pytest.raises(ValueError, match="one rate per link"):
+            Simulator(topo, channel, params=RateParams.uniform(k), seed=1)
 
     def test_never_infeasible(self, triangle):
         # the simulator asserts independence on every activation
@@ -203,6 +212,8 @@ class TestPinnedOutputs:
             "45e5f97cb43e4afa6d4d383a252246d97c6e501e60080d3b3f24250375dc9993",
         ("scenarios/sparse-k10.yaml", "analyze", 1):
             "3df265961be74ed77a73931ef8a61210e209dd546c83cef5c8683f375b6a7ffc",
+        ("scenarios/sparse-k10.yaml", "capacity", 1):
+            "9860bf8635e6f2fc77e0c43298e83492a031de1dfeaedc1f1121f4943b7f3f30",
     }
 
     @pytest.mark.parametrize("path, command, seed", sorted(SCENARIO_CSV_SHA256))
@@ -212,6 +223,28 @@ class TestPinnedOutputs:
                          "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.SCENARIO_CSV_SHA256[path, command, seed]
+
+    # command -> CSV sha256 of scenarios/triangle.yaml with unequal r and mu
+    # at seed 1: the committed scenarios all have r = 0 and mu = 1, so every
+    # state weight there is exactly 0 and its summation order is not seen
+    WEIGHTED_TRIANGLE_CSV_SHA256 = {
+        "analyze":
+            "5b446f0795f6e074b2aa4b74d280dd1dedee4b612a7af88150b12ed030ef236a",
+        "simulate":
+            "614aa6f7ce022fa920aa49dd4faef17ed7c2198d4a10db070a9e38285965f50d",
+    }
+
+    @pytest.mark.parametrize("command", sorted(WEIGHTED_TRIANGLE_CSV_SHA256))
+    def test_weighted_triangle_csv(self, tmp_path, command):
+        d = yaml.safe_load(TRIANGLE_YAML.read_text())
+        d["rates"] = {"r": [0.5, 0.0, -0.5], "mu": [0.7, 1.3, 2.0]}
+        path = tmp_path / "triangle-mu.yaml"
+        path.write_text(yaml.safe_dump(d))
+        out = tmp_path / "out.csv"
+        assert cli_main([command, str(path), "--seed", "1",
+                         "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.WEIGHTED_TRIANGLE_CSV_SHA256[command]
 
     def test_random_topology_trajectory(self):
         topo = random_topology(np.random.default_rng(7), 10)
@@ -246,8 +279,8 @@ class TestFrontierAgreement:
     def _assert_agree(self, topo, channel):
         family = enumerate_feasible(topo, channel)
         simulator = Simulator(topo, channel)
-        for d in family.sets:
-            assert simulator._frontier(d.bits) == family.frontier[d.bits], str(d)
+        for bits in family.sets:
+            assert simulator._frontier(bits) == family.frontier[bits], bits
 
     def test_triangle(self, triangle):
         self._assert_agree(*triangle)
@@ -286,7 +319,7 @@ class TestFrontierAgreement:
                         seen.add(mask | 1 << i)
                         todo.append(mask | 1 << i)
             family = enumerate_feasible(topo, channel)
-            assert seen == {d.bits for d in family.sets}
+            assert seen == set(family.sets)
 
     def test_table_check_on_partial_views(self):
         # receivers that do not hear the candidate do not judge it; the
@@ -301,12 +334,12 @@ class TestFrontierAgreement:
             simulator = Simulator(topo, channel)
             coeffs = {l.rx: warm_coeff_table(topo, channel, l.rx)
                       for l in topo.links}
-            for d in enumerate_feasible(topo, channel).sets:
-                front = simulator._frontier(d.bits)
+            for bits in enumerate_feasible(topo, channel).sets:
+                front = simulator._frontier(bits)
                 for l in topo.links:
-                    verdict, silent = receiver_veto(topo, coeffs, d.bits, l)
+                    verdict, silent = receiver_veto(topo, coeffs, bits, l)
                     unheard += silent
-                    assert bool(front >> l.id & 1) == verdict, (str(d), l.id)
+                    assert bool(front >> l.id & 1) == verdict, (bits, l.id)
         assert unheard > 0
 
 
@@ -643,8 +676,8 @@ class TestAgainstAnalytical:
                     SimConfig(horizon=200_000.0, seed=11, params=params))
         ss = steady_state(fam, params)
         frac = stats.occupancy_fractions()
-        tv = 0.5 * sum(abs(frac.get(s.bits, 0.0) - p)
-                       for s, p in ss.probs.items())
+        tv = 0.5 * sum(abs(frac.get(bits, 0.0) - p)
+                       for bits, p in zip(fam.sets, ss.probs))
         assert tv <= 0.02
         tau = expected_throughput(fam, params)
         emp = empirical_throughput(stats)
@@ -660,8 +693,8 @@ class TestAgainstAnalytical:
                     SimConfig(horizon=200_000.0, seed=13, params=params))
         ss = steady_state(fam, params)
         frac = stats.occupancy_fractions()
-        tv = 0.5 * sum(abs(frac.get(s.bits, 0.0) - p)
-                       for s, p in ss.probs.items())
+        tv = 0.5 * sum(abs(frac.get(bits, 0.0) - p)
+                       for bits, p in zip(fam.sets, ss.probs))
         assert tv <= 0.02
 
 
