@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import RateParams, real_array
-from .phy import ChannelMatrix, NetworkTopology, PhyConfig
+from .ctmc import RateParams
+from .phy import ChannelMatrix, NetworkTopology, PhyConfig, real_array
 from .sim import SimConfig, Simulator
 
 

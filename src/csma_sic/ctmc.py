@@ -9,41 +9,15 @@ them.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .phy import real_array
 # ``eta`` and ``reachable_subfamily`` are not called here; perfbench/run.py
 # wraps ``ctmc.eta`` and ``ctmc.reachable_subfamily`` to count calls.
 from .setspace import (FeasibleFamily, bit_ids, eta,  # noqa: F401
                        reachable_subfamily)
-
-
-def reals_only(items) -> bool:
-    """Whether every item is a real number and none a bool.
-
-    Checked once per distinct type: an ABC ``isinstance`` per element costs
-    about 0.8 us, a visible share of loading a K = 25 scenario.
-    """
-    return all(issubclass(t, numbers.Real) and not issubclass(t, bool)
-               for t in set(map(type, items)))
-
-
-def real_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array, refusing str and bool entries.
-
-    ``np.asarray`` alone would read ``'0.5'`` as 0.5, and ``[0.5, True]`` is
-    a float64 array with ``True`` already turned into 1.0, so a list or tuple
-    is checked with ``reals_only`` and an array by its dtype.
-    """
-    if isinstance(value, np.ndarray):
-        ok = value.dtype.kind in "iuf"
-    else:
-        ok = reals_only(value if isinstance(value, (list, tuple)) else (value,))
-    if not ok:
-        raise ValueError(f"{name} must be real numbers, not {value!r}")
-    return np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ import numpy as np
 import yaml
 
 from .adapt import AdaptConfig
-from .ctmc import RateParams, real_array, reals_only
-from .phy import ChannelMatrix, NetworkTopology, PhyConfig, build_channel_matrix
+from .ctmc import RateParams
+from .phy import (ChannelMatrix, NetworkTopology, PhyConfig, build_channel_matrix,
+                  real_array, reals_only)
 from .setspace import LinkSet, is_independent
 from .sim import SimConfig
 
@@ -188,13 +189,14 @@ def load_scenario(path) -> Scenario:
 
     The YAML is parsed by libyaml when PyYAML has it and by PyYAML's
     pure-Python safe loader otherwise; the resulting mapping is the same.
-    A syntax error or a document that is not a mapping raises
-    ``ScenarioError`` naming ``path``.
+    The file is read as UTF-8.  A file that does not decode, a syntax error
+    or a document that is not a mapping raises ``ScenarioError`` naming
+    ``path``.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = yaml.load(fh, Loader=_LOADER)
-        except yaml.YAMLError as exc:
+        except (UnicodeDecodeError, yaml.YAMLError) as exc:
             raise ScenarioError(f"{path}: {exc}")
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")

@@ -12,28 +12,16 @@ every range regime, and the chain is the product-form chain of Boorstyn et
 al., "Throughput analysis in multihop CSMA packet radio networks" (IEEE
 Trans. Commun., 1987), which hidden terminals break if the transmitter
 judges only the links it hears.  Sets are judged by
-``setspace.independence_oracle``, which compiles ``is_independent`` once
-per topology into bitmask lookups and the same decode arithmetic.  The
-verdicts for one active set are cached as a bitmask, its frontier.  The
-family is downward closed, so a new active set's frontier is bounded by
-the previous one and by per-link pair rows (the frontier of each single
-link): when link i starts, it lies within the previous frontier and i's
-row; when link i ends, it holds the previous frontier plus i and lies
-within the rows of the links still active.  Only the links between the
-two bounds are judged.  The caches are emptied when one reaches
-``_CACHE_CAP`` entries.  Every start and end of a transmission suspends or
-resumes only the links whose verdict it flipped.  The event
-queue is one due time per link; the earliest goes next, the lowest link id
-among equal ones.  The run is deterministic given the seed, with one random
-stream per link, so the order of simultaneous events changes no draw.
-Each link draws its backoffs and holding times from a buffer of standard
-exponentials refilled from its own stream, scaled by 1/lambda or 1/mu; the
-values are bit-identical to scalar ``Generator.exponential`` draws.
-The event step is one loop in ``Simulator.advance`` on local plain Python
-floats and ints: it credits the elapsed time, starts or ends a
-transmission and flips the timers in one pass, reads the verdict caches
-directly and calls out only when one misses, and walks the active set
-through a member tuple cached with its verdict bitmask.
+``setspace.independence_oracle``, compiled once per topology.  The
+verdicts for one active set are cached as a bitmask, its frontier, and
+each start or end of a transmission suspends or resumes only the links
+whose verdict it flipped.  The event queue is one due time per link; the
+earliest goes next, the lowest link id among equal ones.  The run is
+deterministic given the seed, with one random stream per link, so the
+order of simultaneous events changes no draw.  Each link draws its
+backoffs and holding times from a buffer of standard exponentials
+refilled from its own stream, scaled by 1/lambda or 1/mu; the values are
+bit-identical to scalar ``Generator.exponential`` draws.
 """
 
 import math
@@ -42,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import RateParams, real_array
+from .ctmc import RateParams
 # perfbench/run.py wraps ``sim.check_all_feasible``, which is not called here.
 from .localstate import check_all_feasible  # noqa: F401
-from .phy import ChannelMatrix, NetworkTopology, PhyConfig
+from .phy import ChannelMatrix, NetworkTopology, PhyConfig, real_array
 # perfbench/run.py wraps ``sim.is_independent``, which is not called here:
 # the simulator judges active sets with ``independence_oracle``.
 from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
@@ -56,7 +44,7 @@ from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
 # every link's buffer in ``Simulator.__init__`` stays cheap.
 _BUFFER = 64
 
-# Entries one verdict cache may hold before all of them are emptied.  A
+# Entries one verdict cache may hold before both are emptied.  A
 # benchmark run stays far below it (about 3k verdicts on dense-k25); at
 # K = 100 all in range the caches would otherwise grow by about 140k
 # verdicts per second of wall time, and most are never read again.
@@ -140,38 +128,30 @@ class Simulator:
 
     ``advance(until)`` processes all events up to the given time, so callers
     can interleave simulation epochs with parameter changes (``set_rates``).
-    The protocol state is the ``active`` bitmask plus the timers.  A link may
-    count down when ``active`` plus the link is independent, that is when no
-    receiver that hears its transmitter vetoes it (Boorstyn et al., 1987).
-    Independence is the oracle compiled from the topology in ``__init__``
-    (``independence_oracle``), cached per mask; all verdicts are cached as
-    one bitmask per active set (``_frontier``), read through the same cache
-    as the invariant checks, so ``_frontier(mask)`` equals
-    ``FeasibleFamily.frontier[mask]`` for every member of the family.
-    Between events ``counting``, the links whose timers run, equals the
-    frontier of ``active``.  On a frontier cache miss ``advance`` bounds the
-    new set's frontier by ``counting`` and the pair rows ``_pairs[j]``, the
-    frontier of ``{j}``, each judged the first time a miss needs it, and
-    judges only the links between the bounds.  The verdict caches are
-    emptied together when one reaches ``_CACHE_CAP`` entries; the pair rows
-    stay.  ``due[i]`` is link i's next
-    event time: its completion if it is active, its expiry if it counts,
-    else ``math.inf``.
-    ``advance`` takes the earliest, the lowest link id among equal ones,
-    and handles each event in one pass of one loop on local variables; it
-    goes through ``_frontier`` and ``_independent`` only when their caches
-    miss.  Each event checks that an expiring timer was counting, that the
-    new active set is independent and that the counted backoff equals its
-    draw to 1e-6, and raises ``ProtocolError`` otherwise, with ``now`` at
-    the event.
+    The protocol state is the ``active`` bitmask plus the timers: ``due[i]``
+    is link i's next event time, its completion if it is active, its expiry
+    if its timer counts, else ``math.inf``.  Between events ``counting``,
+    the links whose timers run, is ``_frontier(active)``, the links c for
+    which ``active`` plus c is independent (Boorstyn et al., 1987); on the
+    family it equals ``FeasibleFamily.frontier``.
+
+    Two caches, emptied together when one reaches ``_CACHE_CAP`` entries,
+    keep the verdicts: ``_indep_cache`` the oracle's verdict per mask and
+    ``_frontier_cache`` the frontier per active set.  On a frontier miss
+    the new frontier is bounded by ``counting`` and by the pair rows
+    ``_pairs[j]``, the frontier of ``{j}`` judged the first time a miss
+    needs it, and only the links between the bounds are judged.
+
+    Each event checks that an expiring timer was counting, that a started
+    set without a stored frontier is independent (every stored frontier
+    belongs to a set proven independent), and that the counted backoff
+    equals its draw to 1e-6.  A failed check raises ``ProtocolError`` with
+    ``now`` at the event.
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
                  phy: PhyConfig = None, params: RateParams = None, seed: int = 0,
-                 warmup: float = 0.0, record_cycles: bool = False):
-        self.topology = topology
-        self.channel = channel
-        self.phy = phy or topology.phy
+                 warmup: float = 0.0):
         k = topology.n_links
         params = params or RateParams.uniform(k)
         if params.r.shape != (k,):
@@ -182,18 +162,19 @@ class Simulator:
         if not _finite(warmup) or warmup < 0:
             raise ValueError("warmup must be finite and nonnegative")
         self.warmup = warmup
-        self.record_cycles = record_cycles
 
         self._frontier_cache = {}
-        self._members = {}
         self._indep_cache = {}
         self._all = (1 << k) - 1
         self._pairs = [None] * k
-        self._oracle = independence_oracle(topology, channel, self.phy)
-
-        for l in topology.links:
-            if not self._independent(1 << l.id):
-                raise ValueError(f"link {l.id} is not solo-feasible")
+        self._oracle = independence_oracle(topology, channel,
+                                           phy or topology.phy)
+        # every timer counts from time 0, so every link must run alone
+        self.counting = self._frontier(0)
+        unfit = self._all & ~self.counting
+        if unfit:
+            link = (unfit & -unfit).bit_length() - 1
+            raise ValueError(f"link {link} is not solo-feasible")
 
         self._draws = [
             _exponentials(np.random.Generator(np.random.PCG64(
@@ -208,10 +189,7 @@ class Simulator:
         self._counted = [0.0] * k
         self.remaining = list(self._draw)
         self._resumed_at = [0.0] * k
-        # every link is solo-feasible, so every timer counts from time 0
-        self.counting = self._frontier(0)
         self.due = list(self._draw)
-        self.cycles = [[] for _ in range(k)]  # (start_time, counted_backoff, duration)
 
         self.busy = [0.0] * k
         self.completed = [0] * k
@@ -238,20 +216,27 @@ class Simulator:
 
         ``front`` and ``maybe`` bound the answer: the links in ``front`` are
         taken as in, those outside ``maybe`` as out, and only the rest are
-        judged.  Unbounded, every link outside ``mask`` is judged.  The
-        frontier is stored in the cache, with the members of ``mask`` in
-        ascending order, which ``advance`` walks while ``mask`` is the
-        active set.
+        judged, each through ``_indep_cache``.  Unbounded, every link outside
+        ``mask`` is judged.  The frontier is stored in ``_frontier_cache``
+        after both caches are emptied if either has reached ``_CACHE_CAP``
+        entries; they are emptied in place, as ``advance`` holds their
+        bound ``get``.
         """
         if maybe is None:
             maybe = self._all
+        verdicts, oracle = self._indep_cache, self._oracle
         for i in bit_ids(maybe & ~(front | mask)):
-            if self._independent(mask | 1 << i):
+            trial = mask | 1 << i
+            ok = verdicts.get(trial)
+            if ok is None:
+                ok = verdicts[trial] = oracle(trial)
+            if ok:
                 front |= 1 << i
-        if len(self._frontier_cache) >= _CACHE_CAP:
-            self._forget()
-        self._frontier_cache[mask] = front
-        self._members[mask] = tuple(bit_ids(mask))
+        fronts = self._frontier_cache
+        if len(fronts) >= _CACHE_CAP or len(verdicts) >= _CACHE_CAP:
+            verdicts.clear()
+            fronts.clear()
+        fronts[mask] = front
         return front
 
     def _pair_bound(self, mask: int) -> int:
@@ -272,45 +257,29 @@ class Simulator:
             bound &= row
         return bound
 
-    def _independent(self, mask: int) -> bool:
-        cache = self._indep_cache
-        v = cache.get(mask)
-        if v is None:
-            v = self._oracle(mask)
-            if len(cache) >= _CACHE_CAP:
-                self._forget()
-            cache[mask] = v
-        return v
-
-    def _forget(self) -> None:
-        """Empty the verdict caches in place: ``advance`` holds their
-        bound ``get``.  The pair rows are kept, one per link."""
-        self._indep_cache.clear()
-        self._frontier_cache.clear()
-        self._members.clear()
-
     # -- driving ------------------------------------------------------------
 
     def advance(self, until: float) -> None:
         """Process all events up to the given simulation time.
 
         One pass of the loop is one event: credit the time since the last
-        event to the active set, end or start the transmission of the link
-        due first, then suspend and resume the timers whose verdict that
-        flipped.  The state lives in locals while the loop runs, and
-        ``now``, ``active`` and ``counting`` are written back on the way
-        out, also when a ``ProtocolError`` ends the run.
+        event to the active links, end or start the transmission of the
+        link due first, then suspend and resume the timers whose verdict
+        that flipped.  The state lives in locals while the loop runs, the
+        active links also as a list, and ``now``, ``active`` and
+        ``counting`` are written back on the way out, also when a
+        ``ProtocolError`` ends the run.
         """
         if not _finite(until) or until < self.now:
             raise ValueError("advance needs a finite time no earlier than now")
         now, active, counting = self.now, self.active, self.counting
+        members = list(bit_ids(active))
         warmup, due, remaining = self.warmup, self.due, self.remaining
         drawn, counted, resumed = self._draw, self._counted, self._resumed_at
-        busy, occupancy, members = self.busy, self.occupancy, self._members
+        busy, occupancy = self.busy, self.occupancy
         completed, completed_total = self.completed, self._completed_total
         draws, hold_scale = self._draws, self._hold_scale
         backoff_scale = self._backoff_scale
-        cycles = self.cycles if self.record_cycles else None
         frontier_of = self._frontier_cache.get
         independent_of = self._indep_cache.get
         inf = math.inf
@@ -321,13 +290,14 @@ class Simulator:
                 if t > lo:
                     dt = t - lo
                     occupancy[active] = occupancy.get(active, 0.0) + dt
-                    for i in members[active]:
+                    for i in members:
                         busy[i] += dt
                 now = t
                 bit = 1 << link
                 if active & bit:
                     # completion: a fresh backoff, resumed below
                     active &= ~bit
+                    members.remove(link)
                     due[link] = inf
                     completed_total[link] += 1
                     if now >= warmup:
@@ -336,6 +306,12 @@ class Simulator:
                     drawn[link] = b
                     counted[link] = 0.0
                     remaining[link] = b
+                    front = frontier_of(active)
+                    if front is None:
+                        # downward closure: the new frontier holds the old
+                        # one plus the link that ended
+                        front = self._frontier(
+                            active, counting | bit, self._pair_bound(active))
                 else:
                     # expiry: the link starts transmitting
                     if not counting & bit:
@@ -343,31 +319,25 @@ class Simulator:
                             f"timer of link {link} expired while infeasible")
                     active |= bit
                     counting &= ~bit
-                    ok = independent_of(active)
-                    if ok is None:
-                        ok = self._independent(active)
-                    if not ok:
-                        raise ProtocolError(
-                            "active set left the independent-set family")
+                    front = frontier_of(active)
+                    if front is None:
+                        # only a set proven independent has a stored
+                        # frontier; the new one lies within the old one
+                        # and the link's pair row
+                        ok = independent_of(active)
+                        if ok is None:
+                            ok = self._oracle(active)
+                        if not ok:
+                            raise ProtocolError(
+                                "active set left the independent-set family")
+                        front = self._frontier(
+                            active, 0, counting & self._pair_bound(bit))
                     counted[link] += now - resumed[link]
                     if abs(counted[link] - drawn[link]) > 1e-6:
                         raise ProtocolError("backoff bookkeeping lost time "
                                             "across suspend/resume")
-                    duration = hold_scale[link] * next(draws[link])
-                    due[link] = now + duration
-                    if cycles is not None:
-                        cycles[link].append((now, drawn[link], duration))
-                front = frontier_of(active)
-                if front is None:
-                    # downward closure: when a link starts, the old frontier
-                    # and its pair row hold the new one; when a link ends,
-                    # the new one holds the old one plus that link
-                    if active & bit:
-                        front = self._frontier(
-                            active, 0, counting & self._pair_bound(bit))
-                    else:
-                        front = self._frontier(
-                            active, counting | bit, self._pair_bound(active))
+                    members.append(link)
+                    due[link] = now + hold_scale[link] * next(draws[link])
                 stopped = counting & ~front
                 while stopped:
                     low = stopped & -stopped
@@ -388,7 +358,7 @@ class Simulator:
             if until > lo:
                 dt = until - lo
                 occupancy[active] = occupancy.get(active, 0.0) + dt
-                for i in members[active]:
+                for i in members:
                     busy[i] += dt
             now = until
         finally:

@@ -191,6 +191,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             PhyConfig(sinr_threshold=(1.0, math.nan))
 
+    @pytest.mark.parametrize("field", ["tx_power", "noise_power",
+                                       "sinr_threshold", "cancel_fraction",
+                                       "radius", "far_interference",
+                                       "path_loss_exponent"])
+    @pytest.mark.parametrize("bad", ["2.0", True, False])
+    def test_phy_str_and_bool_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            PhyConfig(**{field: bad})
+
+    @pytest.mark.parametrize("betas", [("2", 1.0), [2.0, True],
+                                       np.array(["2", "1"])])
+    def test_phy_per_link_threshold_must_be_real(self, betas):
+        with pytest.raises(ValueError, match="sinr_threshold must be real"):
+            PhyConfig(sinr_threshold=betas)
+
+    def test_phy_per_link_threshold_must_be_flat(self):
+        with pytest.raises(ValueError, match="flat sequence"):
+            PhyConfig(sinr_threshold=np.array([[2.0, 1.5]]))
+
+    @pytest.mark.parametrize("betas", [(2, 1.5), [2, 1.5],
+                                       np.array([2, 1.5]),
+                                       np.array([2, 3], dtype=np.int64)])
+    def test_phy_per_link_threshold_stored_as_float_tuple(self, betas):
+        stored = PhyConfig(sinr_threshold=betas).sinr_threshold
+        assert stored == tuple(float(b) for b in betas)
+        assert all(type(b) is float for b in stored)
+
     @pytest.mark.parametrize("exponent", [0.0, -1.0])
     def test_phy_path_loss_must_decrease(self, exponent):
         # in_range_gain assumes gain strictly decreases with distance

@@ -256,6 +256,16 @@ class TestCli:
         assert captured.err.startswith(f"error: {p}: ")
         assert captured.out == ""
 
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "latin1.yaml"
+        p.write_bytes(b"topology:\n  nodes: []\n  links: []\n# caf\xe9\n")
+        with pytest.raises(ScenarioError, match="utf-8"):
+            load_scenario(p)
+        assert main(["analyze", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {p}: ")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("horizon", ["-1", "nan", "inf"])
     def test_bad_horizon_override_exit_code(self, scenario_path, horizon,
                                             capsys):
@@ -305,6 +315,12 @@ class TestCli:
         ("path_loss_exponent", float("nan")),
         ("path_loss_exponent", 0.0),
         ("path_loss_exponent", -3.0),
+        ("sinr_threshold", "2.0"),
+        ("sinr_threshold", [2.0, "2.0", 2.0]),
+        ("sinr_threshold", True),
+        ("cancel_fraction", True),
+        ("path_loss_exponent", True),
+        ("tx_power", True),
     ])
     @pytest.mark.parametrize("argv", [["analyze"],
                                       ["capacity", "--x", "0.9,0.9,0.9"]])

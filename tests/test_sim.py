@@ -55,6 +55,32 @@ def sparse_topology(rng, low, high):
                            area=20.0)
 
 
+@pytest.fixture
+def raw_draws(monkeypatch):
+    """The standard exponentials the links draw: one list per link of each
+    simulator the test builds, in link order.
+
+    Wraps each link's ``_draws`` stream as the simulator builds it, so the
+    first backoff, drawn in ``__init__``, is recorded too.  Per link the
+    values alternate backoff and holding time, before scaling by 1/lambda
+    or 1/mu.
+    """
+    streams = []
+    exponentials = sim_module._exponentials
+
+    def tee(stream, values):
+        for value in stream:
+            values.append(value)
+            yield value
+
+    def recorded(rng):
+        streams.append([])
+        return tee(exponentials(rng), streams[-1])
+
+    monkeypatch.setattr(sim_module, "_exponentials", recorded)
+    return streams
+
+
 def has_out_of_range_pair(topo):
     return not all(topo.in_range(a, b) for a in range(topo.n_nodes)
                    for b in range(a))
@@ -530,10 +556,9 @@ class TestCacheCap:
         capped = Simulator(topo, channel, seed=1, warmup=5.0)
         for t in range(1, 61):
             capped.advance(float(t))
-            for cache in (capped._indep_cache, capped._frontier_cache,
-                          capped._members):
+            for cache in (capped._indep_cache, capped._frontier_cache):
                 assert len(cache) <= 256, capped.now
-            assert capped.active in capped._members
+            assert capped.active in capped._frontier_cache
         assert capped.occupancy == default.occupancy
         assert capped.busy == default.busy
         assert capped.completed == default.completed
@@ -573,16 +598,25 @@ class TestProtocolErrors:
         assert sim.active == active
 
     def test_active_set_leaves_family(self, triangle):
+        # two links run, so the third is suspended: the triangle's full set
+        # is dependent.  Its timer is made to count and to run out with its
+        # backoff counted in full, so only the independence check is left
+        # to refuse the start.
         sim = Simulator(*triangle, seed=4)
         sim.advance(10.0)
-        t, link = advance_to_expiry(sim)
-        joined = sim.active | 1 << link
-        sim._indep_cache[joined] = False
+        while bin(sim.active).count("1") < 2:
+            sim.advance(min(sim.due))
+        link = sim.due.index(math.inf)
+        assert not (sim.counting | sim.active) >> link & 1
+        t = sim.now + 0.5 * (min(sim.due) - sim.now)
+        sim.counting |= 1 << link
+        sim.due[link] = t
+        sim._resumed_at[link] = t - (sim._draw[link] - sim._counted[link])
         with pytest.raises(ProtocolError,
                            match="left the independent-set family"):
             sim.advance(t + 10.0)
         assert sim.now == t
-        assert sim.active == joined
+        assert sim.active == 0b111
         assert not sim.counting >> link & 1
 
     def test_backoff_loses_time(self, triangle):
@@ -594,29 +628,6 @@ class TestProtocolErrors:
             sim.advance(t + 10.0)
         assert sim.now == t
         assert sim.active >> link & 1
-
-
-class TestRecordCycles:
-    """Recording cycles is bookkeeping only: the trajectory is the same."""
-
-    def _assert_same_run(self, topo, channel, seed, horizon):
-        off, on = (Simulator(topo, channel, seed=seed, warmup=0.1 * horizon,
-                             record_cycles=record) for record in (False, True))
-        off.advance(horizon)
-        on.advance(horizon)
-        assert on.busy == off.busy
-        assert on.occupancy == off.occupancy
-        assert on.completed_total.tolist() == off.completed_total.tolist()
-        assert all(on.cycles) and not any(off.cycles)
-
-    def test_triangle(self, triangle):
-        self._assert_same_run(*triangle, seed=3, horizon=500.0)
-
-    def test_partial_range(self):
-        topo = sparse_topology(np.random.default_rng(13), 8, 26)
-        assert has_out_of_range_pair(topo)
-        self._assert_same_run(topo, build_channel_matrix(topo), seed=2,
-                              horizon=100.0)
 
 
 class TestSparseRange:
@@ -698,25 +709,32 @@ class TestAgainstAnalytical:
         assert tv <= 0.02
 
 
+def started_cycles(values):
+    """Pairs (backoff, holding time) of one link's raw draws, one for each
+    transmission started: a last backoff still counting is left out."""
+    return list(zip(values[0::2], values[1::2]))
+
+
 class TestTimerMemorylessness:
-    def test_counted_backoffs_are_exponential(self):
+    def test_counted_backoffs_are_exponential(self, raw_draws):
         # suspend/resume keeps the remaining time, so the total counted
         # backoff before transmission equals the original exponential draw
         topo, channel = conflict_pair()
         lam = np.exp(np.array([0.8, 0.8]))
-        sim = Simulator(topo, channel, params=RateParams(r=np.log(lam)),
-                        seed=17, record_cycles=True)
+        params = RateParams(r=np.log(lam))
+        sim = Simulator(topo, channel, params=params, seed=17)
         sim.advance(20000.0)
-        draws = np.array([c[1] for c in sim.cycles[0]])
+        scale = 1.0 / params.lam[0]
+        draws = np.array([scale * b for b, _ in started_cycles(raw_draws[0])])
         assert len(draws) > 500
         stat, p = scipy.stats.kstest(draws, "expon", args=(0, 1 / lam[0]))
         assert p > 0.01
 
-    def test_holding_times_are_exponential(self):
+    def test_holding_times_are_exponential(self, raw_draws):
         topo, channel = conflict_pair()
-        sim = Simulator(topo, channel, seed=23, record_cycles=True)
+        sim = Simulator(topo, channel, seed=23)
         sim.advance(20000.0)
-        durations = np.array([c[2] for c in sim.cycles[1]])
+        durations = np.array([h for _, h in started_cycles(raw_draws[1])])
         stat, p = scipy.stats.kstest(durations, "expon", args=(0, 1.0))
         assert p > 0.01
 
@@ -726,46 +744,47 @@ class TestDrawStream:
     scalar ``Generator.exponential`` draws from the link's own stream."""
 
     @staticmethod
-    def _assert_replayed(sim, seed, lam_log, mu):
-        # lam_log: (time of set_rates, rates from then on), time 0 first; a
-        # backoff drawn at a completion uses the rates set before it
-        times = [t for t, _ in lam_log[1:]]
-        for link, cycles in enumerate(sim.cycles):
-            assert 2 * len(cycles) > 2 * sim_module._BUFFER, link
+    def _assert_replayed(raw_draws, seed, rate_log, mu):
+        # rate_log: (draws each link had made when the rates were set, the
+        # rates from then on), construction first; a backoff is drawn with
+        # the rates set before the ``advance`` call that drew it
+        for link, values in enumerate(raw_draws):
+            assert len(values) > 2 * sim_module._BUFFER, link
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence(entropy=seed, spawn_key=(link,))))
-            drawn_at = 0.0
-            for start, backoff, duration in cycles:
-                lam = lam_log[bisect.bisect_left(times, drawn_at)][1]
-                assert backoff == rng.exponential(1.0 / lam[link])
-                assert duration == rng.exponential(1.0 / mu[link])
-                drawn_at = start + duration
+            since = [made[link] for made, _ in rate_log]
+            for n, value in enumerate(values):
+                if n % 2:
+                    scale = 1.0 / mu[link]
+                else:
+                    lam = rate_log[bisect.bisect_right(since, n) - 1][1]
+                    scale = 1.0 / lam[link]
+                assert scale * value == rng.exponential(scale), (link, n)
 
-    def test_triangle_with_rate_changes(self, triangle):
+    def test_triangle_with_rate_changes(self, triangle, raw_draws):
         topo, channel = triangle
         params = RateParams(r=np.array([0.3, -0.2, 1.1]),
                             mu=np.array([0.7, 1.3, 2.0]))
-        sim = Simulator(topo, channel, params=params, seed=12,
-                        record_cycles=True)
-        lam_log = [(0.0, params.lam)]
+        sim = Simulator(topo, channel, params=params, seed=12)
+        rate_log = [([0] * 3, params.lam)]
         rng = np.random.default_rng(4)
         for t in np.arange(50.0, 801.0, 50.0):
             sim.advance(float(t))
             lam = np.exp(rng.uniform(-2.0, 2.0, size=3))
             sim.set_rates(lam)
-            lam_log.append((float(t), lam))
+            rate_log.append(([len(values) for values in raw_draws], lam))
         sim.advance(900.0)
-        self._assert_replayed(sim, 12, lam_log, params.mu)
+        self._assert_replayed(raw_draws, 12, rate_log, params.mu)
 
-    def test_suspended_backoffs(self):
-        # the conflict pair suspends and resumes timers; the recorded draw
+    def test_suspended_backoffs(self, raw_draws):
+        # the conflict pair suspends and resumes timers; the drawn backoff
         # is still the scalar draw, not the time counted piecewise
         topo, channel = conflict_pair()
         params = RateParams(r=np.array([0.8, -0.4]), mu=np.array([1.5, 0.5]))
-        sim = Simulator(topo, channel, params=params, seed=29,
-                        record_cycles=True)
+        sim = Simulator(topo, channel, params=params, seed=29)
         sim.advance(600.0)
-        self._assert_replayed(sim, 29, [(0.0, params.lam)], params.mu)
+        self._assert_replayed(raw_draws, 29, [([0] * 2, params.lam)],
+                              params.mu)
 
     def test_stats_arrays(self, triangle):
         sim = Simulator(*triangle, seed=5, warmup=50.0)
@@ -866,6 +885,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be a nonnegative "
                                              "integer"):
             Simulator(*triangle, seed=seed)
+
+    def test_simulator_refuses_link_infeasible_alone(self):
+        # link 1 is three times as long as link 0: at noise 0.1 and
+        # threshold 2 it fails its SINR even with no interferer
+        phy = PhyConfig(noise_power=0.1, sinr_threshold=2.0, radius=100.0)
+        nodes = (Node(0, 0.0, 0.0), Node(1, 1.0, 0.0),
+                 Node(2, 0.0, 50.0), Node(3, 3.0, 50.0))
+        topo = NetworkTopology(nodes, (Link(0, 0, 1), Link(1, 2, 3)), phy)
+        with pytest.raises(ValueError, match="link 1 is not solo-feasible"):
+            Simulator(topo, build_channel_matrix(topo))
 
     def test_simulator_numpy_integer_seed_accepted(self, triangle):
         a, b = Simulator(*triangle, seed=np.int64(5)), Simulator(*triangle,
