@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ctmc import RateParams
-from .phy import ChannelMatrix, NetworkTopology, PhyConfig, real_array
+from .phy import ChannelMatrix, NetworkTopology, real_array
 from .sim import SimConfig, Simulator
 
 
@@ -70,10 +70,9 @@ class AdaptTrace:
     tau_emp: np.ndarray        # (updates, K) measured service rates
     queues: np.ndarray         # (updates, K) virtual queue lengths
 
-    def queue_slopes(self, tail_fraction: float = 0.5) -> np.ndarray:
-        """Least-squares slope of each virtual queue over the trailing window."""
-        n = len(self.times)
-        start = max(0, int(n * (1.0 - tail_fraction)))
+    def queue_slopes(self) -> np.ndarray:
+        """Least-squares slope of each virtual queue over the later half."""
+        start = len(self.times) // 2
         t = self.times[start:]
         if len(t) < 2:
             return np.zeros(self.r.shape[1])
@@ -107,7 +106,7 @@ def update_rates(r_prev, alpha: float, lambda_emp, tau_emp,
     return np.clip(r_prev + alpha * (lambda_emp - tau_emp), 0.0, r_cap)
 
 
-def adapt_run(topology: NetworkTopology, channel: ChannelMatrix, phy: PhyConfig,
+def adapt_run(topology: NetworkTopology, channel: ChannelMatrix,
               cfg: AdaptConfig, sim_cfg: SimConfig) -> AdaptTrace:
     """Alternate simulation epochs with rate updates; divergence is data.
 
@@ -115,7 +114,8 @@ def adapt_run(topology: NetworkTopology, channel: ChannelMatrix, phy: PhyConfig,
     the target rate.  Service is the count of packets completed in each
     epoch.  Virtual queues accumulate arrivals minus services, floored at
     zero.  The links hold the channel for the service rates ``mu`` of
-    ``sim_cfg.params``, or for unit time when it has none.
+    ``sim_cfg.params``, or for unit time when it has none.  The PHY is
+    ``topology.phy``.
     """
     k = topology.n_links
     x = cfg.target_rates
@@ -123,7 +123,7 @@ def adapt_run(topology: NetworkTopology, channel: ChannelMatrix, phy: PhyConfig,
         raise ValueError("target_rates must have one entry per link")
     r = np.zeros(k)
     mu = None if sim_cfg.params is None else sim_cfg.params.mu
-    sim = Simulator(topology, channel, phy=phy, params=RateParams(r, mu),
+    sim = Simulator(topology, channel, params=RateParams(r, mu),
                     seed=sim_cfg.seed, warmup=0.0)
     arr_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=sim_cfg.seed, spawn_key=(0xA881,))))

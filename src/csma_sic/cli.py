@@ -39,7 +39,7 @@ def _write_table(path, rows) -> None:
 
 
 def _analyze_rows(scn: Scenario):
-    family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
+    family = enumerate_feasible(scn.topology, scn.channel)
     q = ctmc.steady_state(family, scn.params)
     tau = q.throughput()
     rows = [("Q", _name(bits, family.width), p, None)
@@ -61,11 +61,11 @@ def cmd_analyze(scn: Scenario, out=None) -> int:
 
 
 def cmd_simulate(scn: Scenario, out=None) -> int:
-    stats = sim.run(scn.topology, scn.channel, scn.topology.phy, scn.sim)
+    stats = sim.run(scn.topology, scn.channel, scn.sim)
     emp_tau = sim.empirical_throughput(stats)
     occ = stats.occupancy_fractions()
     try:
-        family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
+        family = enumerate_feasible(scn.topology, scn.channel)
         q = ctmc.steady_state(family, scn.params)
         tau = q.throughput()
         ana_occ = dict(zip(family.sets, q.probs.tolist()))
@@ -97,7 +97,7 @@ def cmd_capacity(scn: Scenario, x=None, out=None) -> int:
               file=sys.stderr)
         return 2
     x = np.asarray(x, dtype=float)
-    family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
+    family = enumerate_feasible(scn.topology, scn.channel)
     ok, alpha = setspace.capacity_contains(x, family)
     print(f"x = [{', '.join(_fmt(v) for v in x)}]")
     print(f"inside capacity region: {'yes' if ok else 'no'}")
@@ -117,9 +117,8 @@ def cmd_adapt(scn: Scenario, out=None) -> int:
     if scn.adapt is None:
         print("error: scenario has no 'adapt' section", file=sys.stderr)
         return 2
-    family = None
     try:
-        family = enumerate_feasible(scn.topology, scn.channel, scn.topology.phy)
+        family = enumerate_feasible(scn.topology, scn.channel)
         # the region holds busy-time fractions: a link served at rate x
         # is busy x / mu of the time
         ok, _ = setspace.capacity_contains(
@@ -129,8 +128,7 @@ def cmd_adapt(scn: Scenario, out=None) -> int:
                   "expect growing queues")
     except EnumerationCapError:
         pass
-    trace = adapt_mod.adapt_run(scn.topology, scn.channel, scn.topology.phy,
-                                scn.adapt, scn.sim)
+    trace = adapt_mod.adapt_run(scn.topology, scn.channel, scn.adapt, scn.sim)
     k = scn.topology.n_links
     n = len(trace.times)
     tail = max(1, n // 4)
@@ -143,19 +141,13 @@ def cmd_adapt(scn: Scenario, out=None) -> int:
     if out:
         with open(out, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            header = ["update", "t"]
-            header += [f"r_{i}" for i in range(k)]
-            header += [f"lambda_{i}" for i in range(k)]
-            header += [f"tau_{i}" for i in range(k)]
-            header += [f"queue_{i}" for i in range(k)]
-            w.writerow(header)
+            names = ("r", "lambda", "tau", "queue")
+            w.writerow(["update", "t"]
+                       + [f"{name}_{i}" for name in names for i in range(k)])
+            series = (trace.r, trace.lambda_emp, trace.tau_emp, trace.queues)
             for j in range(n):
-                row = [str(j + 1), _fmt(trace.times[j])]
-                row += [_fmt(v) for v in trace.r[j]]
-                row += [_fmt(v) for v in trace.lambda_emp[j]]
-                row += [_fmt(v) for v in trace.tau_emp[j]]
-                row += [_fmt(v) for v in trace.queues[j]]
-                w.writerow(row)
+                w.writerow([str(j + 1), _fmt(trace.times[j])]
+                           + [_fmt(v) for a in series for v in a[j]])
     return 0
 
 
@@ -198,13 +190,13 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(scn, out=args.out)
         if args.command == "capacity":
-            x = None
-            if args.x is not None:
-                x = [float(v) for v in args.x.split(",")]
+            x = (None if args.x is None
+                 else [float(v) for v in args.x.split(",")])
             return cmd_capacity(scn, x=x, out=args.out)
         if args.command == "adapt":
             return cmd_adapt(scn, out=args.out)
-    except (EnumerationCapError, ScenarioError, ValueError) as exc:
+    except (EnumerationCapError, ScenarioError, ValueError, OSError) as exc:
+        # OSError: --out names a missing directory or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

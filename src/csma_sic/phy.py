@@ -173,9 +173,6 @@ class NetworkTopology:
     def n_links(self) -> int:
         return len(self.links)
 
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
     def distance(self, a: int, b: int) -> float:
         na, nb = self.nodes[a], self.nodes[b]
         return math.hypot(na.x - nb.x, na.y - nb.y)

@@ -121,7 +121,7 @@ def parse_scenario(data: dict) -> Scenario:
 
     for link in topology.links:
         solo = LinkSet.from_ids([link.id], k)
-        if not is_independent(solo, topology, channel, phy):
+        if not is_independent(solo, topology, channel):
             raise ScenarioError(
                 f"topology: link {link.id} is not feasible on its own"
             )

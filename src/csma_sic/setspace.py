@@ -18,9 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .phy import ChannelMatrix, NetworkTopology, PhyConfig, sic_decodable
+from .phy import ChannelMatrix, NetworkTopology, sic_decodable
 
-#: Default upper bound on link count for enumeration.
+#: Upper bound on link count for enumeration, read at each call.
 ENUMERATION_CAP = 20
 
 #: Feasibility tolerance for the capacity-region linear program.
@@ -120,10 +120,17 @@ class FeasibleFamily:
         return v
 
 
-def is_independent(d: LinkSet, topology: NetworkTopology, channel: ChannelMatrix,
-                   phy: PhyConfig = None) -> bool:
-    """Global feasibility indicator for a set of simultaneously active links."""
-    phy = phy or topology.phy
+def _check_channel(topology: NetworkTopology, channel: ChannelMatrix) -> None:
+    """Refuse a channel without one row and one column per node."""
+    if channel.g.shape != (topology.n_nodes,) * 2:
+        raise ValueError("the channel matrix must be n_nodes x n_nodes")
+
+
+def is_independent(d: LinkSet, topology: NetworkTopology,
+                   channel: ChannelMatrix) -> bool:
+    """Whether the link set ``d`` is independent under ``topology.phy``."""
+    _check_channel(topology, channel)
+    phy = topology.phy
     links = [topology.links[i] for i in d.ids()]
     used = set()
     for l in links:
@@ -140,8 +147,7 @@ def is_independent(d: LinkSet, topology: NetworkTopology, channel: ChannelMatrix
     return True
 
 
-def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix,
-                        phy: PhyConfig = None):
+def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix):
     """``is_independent`` compiled for one topology, as a test on a bitmask.
 
     What the definition looks up on every call is fixed by the topology:
@@ -149,8 +155,9 @@ def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix,
     half-duplex rule), and at its receiver the gain of every link's
     transmitter, ``0.0`` where it is out of range, and the decode order up
     to the link itself (strongest first, ties by transmitter id), each
-    stage with its link's threshold.  A link's own transmitter is always in
-    range of its receiver, since ``NetworkTopology`` requires it.
+    stage with its link's threshold under ``topology.phy``.  A link's own
+    transmitter is always in range of its receiver, since
+    ``NetworkTopology`` requires it.
 
     A call walks the mask's members, not each receiver's whole in-range
     list.  It runs every clash check first; then at each member's receiver
@@ -164,7 +171,8 @@ def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix,
     function makes the same float comparisons as ``sic_decodable`` on the
     same values, and its verdict equals ``is_independent`` bit for bit.
     """
-    phy = phy or topology.phy
+    _check_channel(topology, channel)
+    phy = topology.phy
     links = topology.links
     noise_plus_far, cancel = phy.noise_plus_far, phy.cancel_fraction
     at_node = {}
@@ -232,30 +240,29 @@ def eta(bits: int, family: FeasibleFamily) -> tuple:
     return tuple(bit_ids(family.frontier[bits]))
 
 
-def enumerate_feasible(topology: NetworkTopology, channel: ChannelMatrix,
-                       phy: PhyConfig = None,
-                       cap: int = ENUMERATION_CAP) -> FeasibleFamily:
+def enumerate_feasible(topology: NetworkTopology,
+                       channel: ChannelMatrix) -> FeasibleFamily:
     """Enumerate all independent sets by extension from the empty set.
 
     Dropping a link removes one decode stage and can only lower the
     interference at the stages left, the half-duplex rule is pairwise and
     the range rule per link, so every subset of an independent set is
     independent.  Hence S + j, for j above S's highest link i, is tested
-    only if j also extends S - i.
+    only if j also extends S - i.  More than ``ENUMERATION_CAP`` links
+    raise ``EnumerationCapError``.
     """
     k = topology.n_links
-    if k > cap:
-        raise EnumerationCapError(
-            f"{k} links exceeds the enumeration cap of {cap}; use the simulator"
-        )
-    phy = phy or topology.phy
+    if k > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{k} links exceeds the enumeration cap of "
+                                  f"{ENUMERATION_CAP}; use the simulator")
+    _check_channel(topology, channel)
     sets = [0]
     todo = [(0, range(k))]
     while todo:
         bits, later = todo.pop()
         children = [i for i in later
                     if is_independent(LinkSet(bits | 1 << i, k), topology,
-                                      channel, phy)]
+                                      channel)]
         for n, i in enumerate(children):
             sets.append(bits | 1 << i)
             todo.append((bits | 1 << i, children[n + 1:]))

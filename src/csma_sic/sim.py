@@ -146,12 +146,15 @@ class Simulator:
     set without a stored frontier is independent (every stored frontier
     belongs to a set proven independent), and that the counted backoff
     equals its draw to 1e-6.  A failed check raises ``ProtocolError`` with
-    ``now`` at the event.
+    ``now`` at the event.  The PHY is ``topology.phy``; a ``phy`` given
+    must equal it.
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
                  phy: PhyConfig = None, params: RateParams = None, seed: int = 0,
                  warmup: float = 0.0):
+        if phy is not None and phy != topology.phy:
+            raise ValueError("phy must equal topology.phy")
         k = topology.n_links
         params = params or RateParams.uniform(k)
         if params.r.shape != (k,):
@@ -167,8 +170,7 @@ class Simulator:
         self._indep_cache = {}
         self._all = (1 << k) - 1
         self._pairs = [None] * k
-        self._oracle = independence_oracle(topology, channel,
-                                           phy or topology.phy)
+        self._oracle = independence_oracle(topology, channel)
         # every timer counts from time 0, so every link must run alone
         self.counting = self._frontier(0)
         unfit = self._all & ~self.counting
@@ -376,10 +378,10 @@ class Simulator:
         )
 
 
-def run(topology: NetworkTopology, channel: ChannelMatrix, phy: PhyConfig,
+def run(topology: NetworkTopology, channel: ChannelMatrix,
         cfg: SimConfig) -> SimStats:
     """Run the protocol for the configured horizon and return its statistics."""
-    sim = Simulator(topology, channel, phy=phy, params=cfg.params,
+    sim = Simulator(topology, channel, params=cfg.params,
                     seed=cfg.seed, warmup=cfg.warmup)
     if cfg.horizon > 0:
         sim.advance(cfg.horizon)

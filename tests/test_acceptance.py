@@ -55,7 +55,7 @@ def _tv_and_tau_gap(topo, channel, params, seed):
     fam = enumerate_feasible(topo, channel)
     ss = steady_state(fam, params)
     tau = expected_throughput(fam, params)
-    stats = run(topo, channel, topo.phy,
+    stats = run(topo, channel,
                 SimConfig(horizon=1e6, seed=seed, params=params))
     frac = stats.occupancy_fractions()
     tv = 0.5 * (sum(abs(frac.get(bits, 0.0) - p)
@@ -223,7 +223,7 @@ def test_6_gradient_adaptation():
     channel = build_channel_matrix(topo)
     cfg = AdaptConfig(target_rates=[0.5, 0.5, 0.5], update_period=100.0,
                       max_updates=500, step_a0=5.0, step_i0=1e18)
-    trace = adapt_run(topo, channel, topo.phy, cfg,
+    trace = adapt_run(topo, channel, cfg,
                       SimConfig(horizon=1.0, seed=1, warmup=0.0))
     n = len(trace.times)
     service = trace.tau_emp[3 * n // 4:].mean(axis=0)
@@ -232,7 +232,7 @@ def test_6_gradient_adaptation():
 
     hot = AdaptConfig(target_rates=[0.9, 0.9, 0.9], update_period=100.0,
                       max_updates=500, step_a0=5.0, step_i0=1e18)
-    hot_trace = adapt_run(topo, channel, topo.phy, hot,
+    hot_trace = adapt_run(topo, channel, hot,
                           SimConfig(horizon=1.0, seed=1, warmup=0.0))
     infeasible_ok = bool(np.any(hot_trace.queue_slopes() > 0.05))
     _report(6, "gradient rate adaptation", feasible_ok and infeasible_ok,

@@ -149,7 +149,7 @@ class TestLoop:
         topo, channel = triangle
         cfg = AdaptConfig(target_rates=[0.4, 0.4, 0.4], update_period=100.0,
                           max_updates=150, step_a0=5.0, step_i0=1e18)
-        trace = adapt_run(topo, channel, topo.phy, cfg,
+        trace = adapt_run(topo, channel, cfg,
                           SimConfig(horizon=1.0, seed=1, warmup=0.0))
         n = len(trace.times)
         tail = slice(3 * n // 4, n)
@@ -162,7 +162,7 @@ class TestLoop:
         topo, channel = triangle
         cfg = AdaptConfig(target_rates=[0.9, 0.9, 0.9], update_period=100.0,
                           max_updates=100, step_a0=5.0, step_i0=1e18)
-        trace = adapt_run(topo, channel, topo.phy, cfg,
+        trace = adapt_run(topo, channel, cfg,
                           SimConfig(horizon=1.0, seed=1, warmup=0.0))
         assert np.any(trace.queue_slopes() > 0.05)
         # the exponents hit the cap rather than blowing up
@@ -172,8 +172,8 @@ class TestLoop:
         topo, channel = triangle
         cfg = AdaptConfig(target_rates=[0.3, 0.3, 0.3], max_updates=20)
         sc = SimConfig(horizon=1.0, seed=4, warmup=0.0)
-        a = adapt_run(topo, channel, topo.phy, cfg, sc)
-        b = adapt_run(topo, channel, topo.phy, cfg, sc)
+        a = adapt_run(topo, channel, cfg, sc)
+        b = adapt_run(topo, channel, cfg, sc)
         assert np.array_equal(a.queues, b.queues)
         assert np.array_equal(a.r, b.r)
 
@@ -181,7 +181,7 @@ class TestLoop:
         topo, channel = triangle
         cfg = AdaptConfig(target_rates=[0.3, 0.3, 0.3], max_updates=50,
                           arrivals="poisson")
-        trace = adapt_run(topo, channel, topo.phy, cfg,
+        trace = adapt_run(topo, channel, cfg,
                           SimConfig(horizon=1.0, seed=4, warmup=0.0))
         # arrival counts average out near the target
         assert trace.lambda_emp.mean(axis=0) == pytest.approx(
@@ -196,10 +196,10 @@ class TestLoop:
         runs = {}
         for mu in (1.0, 2.0):
             params = RateParams(np.zeros(3), np.full(3, mu))
-            runs[mu] = adapt_run(topo, channel, topo.phy, cfg,
+            runs[mu] = adapt_run(topo, channel, cfg,
                                  SimConfig(horizon=1.0, seed=1, warmup=0.0,
                                            params=params))
-        unit = adapt_run(topo, channel, topo.phy, cfg,
+        unit = adapt_run(topo, channel, cfg,
                          SimConfig(horizon=1.0, seed=1, warmup=0.0))
         assert np.array_equal(runs[1.0].r, unit.r)
         assert not np.array_equal(runs[2.0].r, runs[1.0].r)
@@ -208,7 +208,7 @@ class TestLoop:
     def test_trace_shapes(self, triangle):
         topo, channel = triangle
         cfg = AdaptConfig(target_rates=[0.2, 0.2, 0.2], max_updates=10)
-        trace = adapt_run(topo, channel, topo.phy, cfg,
+        trace = adapt_run(topo, channel, cfg,
                           SimConfig(horizon=1.0, seed=0, warmup=0.0))
         assert trace.times.shape == (10,)
         assert trace.r.shape == (10, 3)

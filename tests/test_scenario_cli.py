@@ -256,6 +256,19 @@ class TestCli:
         assert captured.err.startswith(f"error: {p}: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "capacity",
+                                         "adapt"])
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_exit_code(self, scenario_path, tmp_path, command,
+                                      target, capsys):
+        """An --out in a missing directory, or naming a directory, is an
+        error message and exit code 2, not a traceback."""
+        out = tmp_path / target
+        assert main([command, str(scenario_path), "--horizon", "200",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "missing").exists()
+
     def test_non_utf8_file_exit_code(self, tmp_path, capsys):
         p = tmp_path / "latin1.yaml"
         p.write_bytes(b"topology:\n  nodes: []\n  links: []\n# caf\xe9\n")

@@ -12,6 +12,7 @@ from csma_sic import (ChannelMatrix, EnumerationCapError, FeasibleFamily,
                       build_channel_matrix, capacity_contains,
                       enumerate_feasible, eta, independence_oracle,
                       is_independent, reachable_subfamily)
+from csma_sic import setspace
 from csma_sic.setspace import bit_ids
 from csma_sic.phy import D_MIN
 from conftest import random_topology, triangle_topology
@@ -289,6 +290,25 @@ class TestIndependenceOracle:
         assert independence_oracle(topo, channel)(0b111)
 
 
+class TestChannelShape:
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_channel_must_match_node_count(self, triangle, n):
+        """The triangle has 6 nodes: its gains cut to 4 x 4 would be indexed
+        past their end and padded to 8 x 8 would go unnoticed; both are
+        refused."""
+        topo, full = triangle
+        g = np.zeros((n, n))
+        m = min(n, topo.n_nodes)
+        g[:m, :m] = full.g[:m, :m]
+        channel = ChannelMatrix(g)
+        with pytest.raises(ValueError, match="n_nodes x n_nodes"):
+            is_independent(LinkSet(0b1, 3), topo, channel)
+        with pytest.raises(ValueError, match="n_nodes x n_nodes"):
+            independence_oracle(topo, channel)
+        with pytest.raises(ValueError, match="n_nodes x n_nodes"):
+            enumerate_feasible(topo, channel)
+
+
 class TestFamilyConstruction:
     def test_member_width_must_match(self):
         for sets in ((0, 0b100), (-1, 0)):
@@ -301,10 +321,11 @@ class TestFamilyConstruction:
 
 
 class TestEnumerationCap:
-    def test_cap_enforced(self, triangle):
+    def test_cap_enforced(self, triangle, monkeypatch):
         topo, channel = triangle
-        with pytest.raises(EnumerationCapError):
-            enumerate_feasible(topo, channel, cap=2)
+        monkeypatch.setattr(setspace, "ENUMERATION_CAP", 2)
+        with pytest.raises(EnumerationCapError, match="cap of 2"):
+            enumerate_feasible(topo, channel)
 
 
 def grid_certificate(x, vectors, step=0.01):

@@ -3,6 +3,7 @@
 import bisect
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 import scipy.stats
 import yaml
 
-from csma_sic import (NetworkTopology, Link, Node, PhyConfig, RateParams,
-                      SimConfig, Simulator, TxTable, build_channel_matrix,
-                      check_feasible, empirical_throughput,
-                      enumerate_feasible, expected_throughput, load_scenario,
-                      run, steady_state, warm_coeff_table)
+from csma_sic import (ChannelMatrix, NetworkTopology, Link, Node, PhyConfig,
+                      RateParams, SimConfig, Simulator, TxTable,
+                      build_channel_matrix, check_feasible,
+                      empirical_throughput, enumerate_feasible,
+                      expected_throughput, load_scenario, run, steady_state,
+                      warm_coeff_table)
 from csma_sic import sim as sim_module
 from csma_sic.cli import main as cli_main
 from csma_sic.setspace import ENUMERATION_CAP, bit_ids, independence_oracle
@@ -117,9 +119,31 @@ def receiver_veto(topo, coeffs, active, link):
 class TestBasicRuns:
     def test_zero_horizon(self, triangle):
         topo, channel = triangle
-        stats = run(topo, channel, topo.phy, SimConfig(horizon=0.0))
+        stats = run(topo, channel, SimConfig(horizon=0.0))
         assert stats.measured_time == 0.0
         assert empirical_throughput(stats).tolist() == [0.0, 0.0, 0.0]
+
+    def test_phy_must_be_the_topologys(self, triangle):
+        """The PHY is read from the topology; a ``phy`` that differs from it,
+        in radius or by a threshold tuple too short for the links, is
+        refused rather than half applied."""
+        topo, channel = triangle
+        for other in (replace(topo.phy, radius=0.5),
+                      replace(topo.phy, sinr_threshold=(2.0,))):
+            with pytest.raises(ValueError, match="topology.phy"):
+                Simulator(topo, channel, phy=other)
+        sim = Simulator(topo, channel, phy=topo.phy, seed=1)
+        sim.advance(100.0)
+        assert sim.stats().measured_time == pytest.approx(100.0)
+
+    def test_channel_must_match_node_count(self, triangle):
+        """The triangle's gains padded to 8 x 8 for its 6 nodes are
+        refused, not run."""
+        topo, channel = triangle
+        g = np.zeros((8, 8))
+        g[:6, :6] = channel.g
+        with pytest.raises(ValueError, match="n_nodes x n_nodes"):
+            Simulator(topo, ChannelMatrix(g))
 
     def test_zero_links(self):
         topo = NetworkTopology(((0, 0.0, 0.0),), ())
@@ -140,7 +164,7 @@ class TestBasicRuns:
     def test_never_infeasible(self, triangle):
         # the simulator asserts independence on every activation
         topo, channel = triangle
-        run(topo, channel, topo.phy, SimConfig(horizon=2000.0, seed=3))
+        run(topo, channel, SimConfig(horizon=2000.0, seed=3))
 
     def test_conflict_pair_mutual_exclusion(self):
         topo, channel = conflict_pair()
@@ -151,7 +175,7 @@ class TestBasicRuns:
 
     def test_warmup_excluded(self, triangle):
         topo, channel = triangle
-        stats = run(topo, channel, topo.phy,
+        stats = run(topo, channel,
                     SimConfig(horizon=1000.0, warmup=400.0, seed=2))
         assert stats.measured_time == pytest.approx(600.0)
         assert sum(stats.occupancy.values()) == pytest.approx(600.0)
@@ -161,16 +185,16 @@ class TestDeterminism:
     def test_same_seed_same_stats(self, triangle):
         topo, channel = triangle
         cfg = SimConfig(horizon=3000.0, seed=42)
-        a = run(topo, channel, topo.phy, cfg)
-        b = run(topo, channel, topo.phy, cfg)
+        a = run(topo, channel, cfg)
+        b = run(topo, channel, cfg)
         assert np.array_equal(a.busy_time, b.busy_time)
         assert np.array_equal(a.completed, b.completed)
         assert a.occupancy == b.occupancy
 
     def test_different_seed_differs(self, triangle):
         topo, channel = triangle
-        a = run(topo, channel, topo.phy, SimConfig(horizon=3000.0, seed=1))
-        b = run(topo, channel, topo.phy, SimConfig(horizon=3000.0, seed=2))
+        a = run(topo, channel, SimConfig(horizon=3000.0, seed=1))
+        b = run(topo, channel, SimConfig(horizon=3000.0, seed=2))
         assert not np.array_equal(a.busy_time, b.busy_time)
 
     def test_advance_in_pieces_matches_one_shot(self, triangle):
@@ -519,8 +543,8 @@ class TestPairRows:
     def test_dense_k25_against_oracle(self):
         scn = load_scenario(PERFBENCH_SCENARIOS / "dense-k25.yaml")
         topo = scn.topology
-        oracle = independence_oracle(topo, scn.channel, topo.phy)
-        sim = Simulator(topo, scn.channel, phy=topo.phy, seed=1)
+        oracle = independence_oracle(topo, scn.channel)
+        sim = Simulator(topo, scn.channel, seed=1)
         sim.advance(scn.sim.horizon)
         k = topo.n_links
         assert any(row is not None for row in sim._pairs)
@@ -650,7 +674,7 @@ class TestSparseRange:
         sim = Simulator(topo, channel, seed=seed)
         sim.advance(200.0)
         assert sim.now == 200.0
-        oracle = independence_oracle(topo, channel, topo.phy)
+        oracle = independence_oracle(topo, channel)
         assert len(sim.occupancy) > 1
         assert all(oracle(mask) for mask in sim.occupancy)
 
@@ -658,7 +682,7 @@ class TestSparseRange:
 class TestStatsConsistency:
     def test_occupancy_decomposes_busy_time(self, triangle):
         topo, channel = triangle
-        stats = run(topo, channel, topo.phy, SimConfig(horizon=5000.0, seed=7))
+        stats = run(topo, channel, SimConfig(horizon=5000.0, seed=7))
         k = 3
         recon = np.zeros(k)
         for mask, t in stats.occupancy.items():
@@ -672,7 +696,7 @@ class TestStatsConsistency:
     def test_completions_track_busy_time(self, triangle):
         # each holding period is Exp(mu=1), so busy_time ~ completions
         topo, channel = triangle
-        stats = run(topo, channel, topo.phy, SimConfig(horizon=20000.0, seed=5))
+        stats = run(topo, channel, SimConfig(horizon=20000.0, seed=5))
         for i in range(3):
             assert stats.busy_time[i] == pytest.approx(
                 stats.completed[i], rel=0.1)
@@ -683,7 +707,7 @@ class TestAgainstAnalytical:
         topo, channel = triangle
         fam = enumerate_feasible(topo, channel)
         params = RateParams(r=np.array([0.5, 0.0, -0.5]))
-        stats = run(topo, channel, topo.phy,
+        stats = run(topo, channel,
                     SimConfig(horizon=200_000.0, seed=11, params=params))
         ss = steady_state(fam, params)
         frac = stats.occupancy_fractions()
@@ -700,7 +724,7 @@ class TestAgainstAnalytical:
         channel = build_channel_matrix(topo)
         fam = enumerate_feasible(topo, channel)
         params = RateParams(r=rng.uniform(-1, 1, size=4))
-        stats = run(topo, channel, topo.phy,
+        stats = run(topo, channel,
                     SimConfig(horizon=200_000.0, seed=13, params=params))
         ss = steady_state(fam, params)
         frac = stats.occupancy_fractions()
