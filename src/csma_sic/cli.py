@@ -156,35 +156,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="csma-sic",
         description="CSMA-SIC analytical engine and protocol simulator",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "simulate", "capacity", "adapt"):
-        p = sub.add_parser(name)
-        p.add_argument("scenario", help="path to a scenario YAML file")
-        p.add_argument("--out", help="write a CSV result table to this path")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
-        p.add_argument("--horizon", type=float,
-                       help="override the simulation horizon")
-        if name == "capacity":
-            p.add_argument("--x", help="comma-separated per-link rate vector")
+    parser.add_argument("command",
+                        choices=("analyze", "simulate", "capacity", "adapt"))
+    parser.add_argument("scenario", help="path to a scenario YAML file")
+    parser.add_argument("--out", help="write a CSV result table to this path")
+    parser.add_argument("--seed", type=int, help="override the scenario seed")
+    parser.add_argument("--horizon", type=float,
+                        help="override the simulation horizon")
+    parser.add_argument("--x", help="capacity: comma-separated per-link rates")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.x is not None and args.command != "capacity":
+        parser.error("--x applies to the capacity command only")
     try:
         scn = load_scenario(args.scenario)
     except (ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.seed is not None or args.horizon is not None:
-            sim_cfg = sim.SimConfig(
-                horizon=args.horizon if args.horizon is not None else scn.sim.horizon,
-                seed=args.seed if args.seed is not None else scn.sim.seed,
-                params=scn.sim.params,
-                warmup=None if args.horizon is not None else scn.sim.warmup,
-            )
-            scn = replace(scn, sim=sim_cfg)
+        # the seed is checked first, so it is named first when both are bad
+        if args.seed is not None:
+            scn = replace(scn, sim=replace(scn.sim, seed=args.seed))
+        if args.horizon is not None:
+            scn = replace(scn, sim=replace(scn.sim, horizon=args.horizon,
+                                           warmup=None))
         if args.command == "analyze":
             return cmd_analyze(scn, out=args.out)
         if args.command == "simulate":
@@ -193,13 +192,11 @@ def main(argv=None) -> int:
             x = (None if args.x is None
                  else [float(v) for v in args.x.split(",")])
             return cmd_capacity(scn, x=x, out=args.out)
-        if args.command == "adapt":
-            return cmd_adapt(scn, out=args.out)
+        return cmd_adapt(scn, out=args.out)
     except (EnumerationCapError, ScenarioError, ValueError, OSError) as exc:
         # OSError: --out names a missing directory or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -130,6 +130,8 @@ def is_independent(d: LinkSet, topology: NetworkTopology,
                    channel: ChannelMatrix) -> bool:
     """Whether the link set ``d`` is independent under ``topology.phy``."""
     _check_channel(topology, channel)
+    if d.width != topology.n_links:
+        raise ValueError("the link set's width must be topology.n_links")
     phy = topology.phy
     links = [topology.links[i] for i in d.ids()]
     used = set()

@@ -34,8 +34,7 @@ from .ctmc import RateParams
 # perfbench/run.py wraps ``sim.check_all_feasible``, which is not called here.
 from .localstate import check_all_feasible  # noqa: F401
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig, real_array
-# perfbench/run.py wraps ``sim.is_independent``, which is not called here:
-# the simulator judges active sets with ``independence_oracle``.
+# perfbench/run.py wraps ``sim.is_independent``, which is not called here.
 from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
 
 
@@ -266,11 +265,13 @@ class Simulator:
 
         One pass of the loop is one event: credit the time since the last
         event to the active links, end or start the transmission of the
-        link due first, then suspend and resume the timers whose verdict
-        that flipped.  The state lives in locals while the loop runs, the
-        active links also as a list, and ``now``, ``active`` and
-        ``counting`` are written back on the way out, also when a
-        ``ProtocolError`` ends the run.
+        link due first, then resume or suspend the timers whose verdict
+        that flipped.  The family is downward closed, so an end only widens
+        the frontier: it resumes the ended link's fresh backoff at once and
+        walks only the links it let in.  A start only narrows it and walks
+        only the links it shut out.  The state lives in locals, the active
+        links also as a list; ``now``, ``active`` and ``counting`` are
+        written back on the way out, also when a ``ProtocolError`` ends it.
         """
         if not _finite(until) or until < self.now:
             raise ValueError("advance needs a finite time no earlier than now")
@@ -297,23 +298,29 @@ class Simulator:
                 now = t
                 bit = 1 << link
                 if active & bit:
-                    # completion: a fresh backoff, resumed below
+                    # completion: the link counts a fresh backoff at once
                     active &= ~bit
                     members.remove(link)
-                    due[link] = inf
                     completed_total[link] += 1
                     if now >= warmup:
                         completed[link] += 1
-                    b = backoff_scale[link] * next(draws[link])
-                    drawn[link] = b
+                    b = drawn[link] = remaining[link] = (
+                        backoff_scale[link] * next(draws[link]))
                     counted[link] = 0.0
-                    remaining[link] = b
+                    due[link] = now + b
+                    resumed[link] = now
                     front = frontier_of(active)
                     if front is None:
-                        # downward closure: the new frontier holds the old
-                        # one plus the link that ended
+                        # it holds the old frontier plus the ended link
                         front = self._frontier(
                             active, counting | bit, self._pair_bound(active))
+                    started = front & ~(counting | bit)
+                    while started:
+                        low = started & -started
+                        started ^= low
+                        i = low.bit_length() - 1
+                        due[i] = now + remaining[i]
+                        resumed[i] = now
                 else:
                     # expiry: the link starts transmitting
                     if not counting & bit:
@@ -340,21 +347,14 @@ class Simulator:
                                             "across suspend/resume")
                     members.append(link)
                     due[link] = now + hold_scale[link] * next(draws[link])
-                stopped = counting & ~front
-                while stopped:
-                    low = stopped & -stopped
-                    stopped ^= low
-                    i = low.bit_length() - 1
-                    remaining[i] = due[i] - now
-                    due[i] = inf
-                    counted[i] += now - resumed[i]
-                started = front & ~counting
-                while started:
-                    low = started & -started
-                    started ^= low
-                    i = low.bit_length() - 1
-                    due[i] = now + remaining[i]
-                    resumed[i] = now
+                    stopped = counting & ~front
+                    while stopped:
+                        low = stopped & -stopped
+                        stopped ^= low
+                        i = low.bit_length() - 1
+                        remaining[i] = due[i] - now
+                        due[i] = inf
+                        counted[i] += now - resumed[i]
                 counting = front
             lo = now if now >= warmup else warmup
             if until > lo:

@@ -269,6 +269,42 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "simulate", "adapt"])
+    def test_x_only_for_capacity(self, scenario_path, command, capsys):
+        """``--x`` is the capacity command's rate vector; with any other
+        command it is a usage error, exit code 2."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(scenario_path), "--x", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--x" in captured.err and captured.out == ""
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in ("analyze", "simulate", "capacity", "adapt"):
+            assert command in out
+
+    @pytest.mark.parametrize("command, options", [
+        ("simulate", ["--seed", "2", "--horizon", "500"]),
+        ("capacity", ["--x", "0.3,0.3,0.3"]),
+    ])
+    def test_options_in_any_order(self, scenario_path, tmp_path, command,
+                                  options, capsys):
+        """Options may come before, between or after the command and the
+        scenario, with the same output and CSV each time."""
+        path = str(scenario_path)
+        runs = []
+        for i, argv in enumerate(([command, path] + options,
+                                  options + [command, path],
+                                  [command] + options + [path])):
+            out = tmp_path / f"{i}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1] == runs[2]
+
     def test_non_utf8_file_exit_code(self, tmp_path, capsys):
         p = tmp_path / "latin1.yaml"
         p.write_bytes(b"topology:\n  nodes: []\n  links: []\n# caf\xe9\n")

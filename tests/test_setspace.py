@@ -309,6 +309,17 @@ class TestChannelShape:
             enumerate_feasible(topo, channel)
 
 
+class TestLinkSetWidth:
+    @pytest.mark.parametrize("d", [LinkSet(0b1, 7), LinkSet(0b1000, 4),
+                                   LinkSet(0b1, 2)])
+    def test_width_must_match_link_count(self, triangle, d):
+        """The triangle has 3 links: a wider set was judged on its low bits
+        or indexed past the links, a narrower one on the links it names;
+        each is refused."""
+        with pytest.raises(ValueError, match="n_links"):
+            is_independent(d, *triangle)
+
+
 class TestFamilyConstruction:
     def test_member_width_must_match(self):
         for sets in ((0, 0b100), (-1, 0)):

@@ -510,6 +510,44 @@ class TestTimerState:
                              step=0.1, horizon=20.0)
 
 
+class TestOneSidedStep:
+    """By downward closure an end only widens the frontier and a start only
+    narrows it, which lets ``advance`` walk one side per event: after an
+    end the running timers hold the old ones plus the ended link, and after
+    a start they lie within the old ones minus the started link."""
+
+    def _step(self, topo, channel, seed, horizon):
+        sim = Simulator(topo, channel, seed=seed)
+        ends = starts = 0
+        while (t := min(sim.due)) <= horizon:
+            link = sim.due.index(t)
+            assert sim.due.count(t) == 1, t
+            bit, before = 1 << link, sim.counting
+            ended = sim.active & bit
+            sim.advance(t)
+            if ended:
+                assert sim.counting & (before | bit) == before | bit, t
+                ends += 1
+            else:
+                assert sim.counting & ~(before & ~bit) == 0, t
+                starts += 1
+        assert ends and starts
+
+    def test_triangle(self, triangle):
+        self._step(*triangle, seed=1, horizon=200.0)
+
+    def test_dense_k25(self):
+        scn = load_scenario(PERFBENCH_SCENARIOS / "dense-k25.yaml")
+        self._step(scn.topology, scn.channel, seed=1, horizon=20.0)
+
+    def test_partial_range(self):
+        rng = np.random.default_rng(17)
+        for seed in range(3):
+            topo = sparse_topology(rng, 8, 26)
+            assert has_out_of_range_pair(topo)
+            self._step(topo, build_channel_matrix(topo), seed, horizon=20.0)
+
+
 class TestPairRows:
     """``_pairs[j]``, filled on first use, is the frontier of ``{j}``: the
     links c for which {j, c} is independent."""
@@ -731,6 +769,47 @@ class TestAgainstAnalytical:
         tv = 0.5 * sum(abs(frac.get(bits, 0.0) - p)
                        for bits, p in zip(fam.sets, ss.probs))
         assert tv <= 0.02
+
+    # Bounds: mean + 5 sd of 20 runs at seeds 100-119 and this horizon,
+    # rounded up to 1e-3.  Per-link thresholds: TV 0.0030 (sd 0.0006),
+    # throughput gap 0.0017 (sd 0.0007); the weighted triangle: TV 0.0017
+    # (sd 0.0007), gap 0.0013 (sd 0.0006).
+    @staticmethod
+    def _tv_and_tau_gap(topo, params, seed):
+        """The total-variation distance from the exact law, counting any
+        occupancy outside the family in full, and the largest per-link
+        throughput gap, over a run to 200,000."""
+        channel = build_channel_matrix(topo)
+        fam = enumerate_feasible(topo, channel)
+        stats = run(topo, channel,
+                    SimConfig(horizon=200_000.0, seed=seed, params=params))
+        frac = stats.occupancy_fractions()
+        exact = dict(zip(fam.sets, steady_state(fam, params).probs.tolist()))
+        tv = 0.5 * sum(abs(frac.get(bits, 0.0) - exact.get(bits, 0.0))
+                       for bits in set(frac) | set(exact))
+        gap = np.abs(empirical_throughput(stats)
+                     - expected_throughput(fam, params))
+        return tv, float(gap.max())
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_per_link_thresholds(self, seed):
+        """Thresholds from 0.8 to 3.0 leave 18 independent sets, where the
+        scalar 1.5 leaves 26."""
+        topo = random_topology(np.random.default_rng(2), 5)
+        phy = replace(topo.phy, sinr_threshold=(0.8, 1.5, 3.0, 1.0, 2.2))
+        topo = NetworkTopology(topo.nodes, topo.links, phy)
+        params = RateParams(r=np.array([0.5, -0.5, 0.0, 1.0, -1.0]))
+        tv, gap = self._tv_and_tau_gap(topo, params, seed)
+        assert tv <= 0.006 and gap <= 0.006
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_weighted_triangle(self, seed):
+        """Service rates other than 1: the chain weighs a set by the product
+        of lambda / mu over its links."""
+        params = RateParams(np.array([0.5, 0.0, -0.5]),
+                            np.array([0.7, 1.3, 2.0]))
+        tv, gap = self._tv_and_tau_gap(triangle_topology(), params, seed)
+        assert tv <= 0.005 and gap <= 0.005
 
 
 def started_cycles(values):
