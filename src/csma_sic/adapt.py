@@ -2,7 +2,10 @@
 
 Between updates the protocol runs with fixed rates; each update nudges
 r_k by the step size times the measured arrival/service rate mismatch,
-projected to stay nonnegative (and clamped above for numeric safety).
+projected to stay nonnegative (and clamped at ``R_CAP`` for numeric
+safety).  The mismatch is taken in busy time, packets per unit time over
+``mu``: the units of the capacity region, in which it estimates the dual
+gradient ``x - tau(r)``, so one step schedule serves every ``mu``.
 Driving r this way steers the stationary throughput toward any target
 inside the capacity region.
 """
@@ -14,7 +17,9 @@ import numpy as np
 
 from .ctmc import RateParams
 from .phy import ChannelMatrix, NetworkTopology, real_array
-from .sim import SimConfig, Simulator
+from .sim import Simulator
+
+R_CAP = 25.0  # upper clamp on every exponent r
 
 
 @dataclass(frozen=True)
@@ -26,15 +31,13 @@ class AdaptConfig:
     max_updates: int = 500
     step_a0: float = 0.1
     step_i0: float = 100.0
-    r_cap: float = 25.0
-    arrivals: str = "deterministic"  # or "poisson"
 
     def __post_init__(self):
         x = real_array("target_rates", self.target_rates)
         if not np.all(np.isfinite(x)) or np.any(x < 0):
             raise ValueError("target rates must be finite and nonnegative")
         object.__setattr__(self, "target_rates", x)
-        for name in ("update_period", "step_a0", "step_i0", "r_cap"):
+        for name in ("update_period", "step_a0", "step_i0"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number")
@@ -50,10 +53,6 @@ class AdaptConfig:
             raise ValueError("update_period and max_updates must be positive")
         if self.step_a0 <= 0 or self.step_i0 <= 0:
             raise ValueError("step schedule parameters must be positive")
-        if self.r_cap <= 0:
-            raise ValueError("r_cap must be positive")
-        if self.arrivals not in ("deterministic", "poisson"):
-            raise ValueError("arrivals must be 'deterministic' or 'poisson'")
 
     def step_size(self, i: int) -> float:
         """Diminishing step schedule a0 / (1 + i / i0)."""
@@ -81,21 +80,18 @@ class AdaptTrace:
         return coef[0]
 
 
-def update_rates(r_prev, alpha: float, lambda_emp, tau_emp,
-                 r_cap: float = 25.0) -> np.ndarray:
+def update_rates(r_prev, alpha: float, lambda_emp, tau_emp) -> np.ndarray:
     """One projected-gradient step on the aggressiveness exponents.
 
+    ``r_prev + alpha * (lambda_emp - tau_emp)``, clipped to ``[0, R_CAP]``.
     ``r_prev``, ``lambda_emp`` and ``tau_emp`` hold one entry per link each,
-    so they must share one 1-D shape; ``alpha`` and ``r_cap`` are real
-    numbers, not bools, and a NaN or infinite step is refused.
+    so they must share one 1-D shape; ``alpha`` is a real number, not a
+    bool, and a NaN or infinite step is refused.
     """
-    for name, value in (("alpha", alpha), ("r_cap", r_cap)):
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a real number")
+    if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
+        raise ValueError("alpha must be a real number")
     if not 0 < alpha < np.inf:
         raise ValueError("step size must be positive and finite")
-    if not r_cap > 0:
-        raise ValueError("r_cap must be positive")
     r_prev = real_array("r_prev", r_prev)
     lambda_emp = real_array("lambda_emp", lambda_emp)
     tau_emp = real_array("tau_emp", tau_emp)
@@ -103,18 +99,20 @@ def update_rates(r_prev, alpha: float, lambda_emp, tau_emp,
             or tau_emp.shape != r_prev.shape):
         raise ValueError("r_prev, lambda_emp and tau_emp must be 1-D "
                          "with one entry per link each")
-    return np.clip(r_prev + alpha * (lambda_emp - tau_emp), 0.0, r_cap)
+    return np.clip(r_prev + alpha * (lambda_emp - tau_emp), 0.0, R_CAP)
 
 
 def adapt_run(topology: NetworkTopology, channel: ChannelMatrix,
-              cfg: AdaptConfig, sim_cfg: SimConfig) -> AdaptTrace:
+              cfg: AdaptConfig, mu=None, seed: int = 0) -> AdaptTrace:
     """Alternate simulation epochs with rate updates; divergence is data.
 
-    Arrivals are virtual: a deterministic (or Poisson) counter per link at
-    the target rate.  Service is the count of packets completed in each
-    epoch.  Virtual queues accumulate arrivals minus services, floored at
-    zero.  The links hold the channel for the service rates ``mu`` of
-    ``sim_cfg.params``, or for unit time when it has none.  The PHY is
+    Every exponent starts at r = 0.  Arrivals are virtual: a deterministic
+    counter per link at the target rate.  Service is the count of packets
+    completed in each epoch.  Virtual queues accumulate arrivals minus
+    services, floored at zero.  The links hold the channel for the service
+    rates ``mu``, or for unit time when it is None.  The update takes the
+    arrival and service rates in busy time, divided by ``mu``; the trace
+    keeps them in packets.  ``seed`` seeds the simulator.  The PHY is
     ``topology.phy``.
     """
     k = topology.n_links
@@ -122,11 +120,8 @@ def adapt_run(topology: NetworkTopology, channel: ChannelMatrix,
     if x.shape != (k,):
         raise ValueError("target_rates must have one entry per link")
     r = np.zeros(k)
-    mu = None if sim_cfg.params is None else sim_cfg.params.mu
-    sim = Simulator(topology, channel, params=RateParams(r, mu),
-                    seed=sim_cfg.seed, warmup=0.0)
-    arr_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=sim_cfg.seed, spawn_key=(0xA881,))))
+    params = RateParams(r, mu)
+    sim = Simulator(topology, channel, params=params, seed=seed)
     queues = np.zeros(k)
     arrears = np.zeros(k)  # fractional arrivals carried across epochs
     served_before = sim.completed_total  # a fresh array on each read
@@ -138,16 +133,14 @@ def adapt_run(topology: NetworkTopology, channel: ChannelMatrix,
         served_total = sim.completed_total
         served = served_total - served_before
         served_before = served_total
-        if cfg.arrivals == "deterministic":
-            arrears += x * cfg.update_period
-            arrivals = np.floor(arrears)
-            arrears -= arrivals
-        else:
-            arrivals = arr_rng.poisson(x * cfg.update_period).astype(float)
+        arrears += x * cfg.update_period
+        arrivals = np.floor(arrears)
+        arrears -= arrivals
         lam_emp = arrivals / cfg.update_period
         tau_emp = served / cfg.update_period
         queues = np.maximum(0.0, queues + arrivals - served)
-        r = update_rates(r, cfg.step_size(i), lam_emp, tau_emp, cfg.r_cap)
+        r = update_rates(r, cfg.step_size(i), lam_emp / params.mu,
+                         tau_emp / params.mu)
         sim.set_rates(np.exp(r))
         times.append(t_end)
         rs.append(r.copy())

@@ -128,7 +128,8 @@ def cmd_adapt(scn: Scenario, out=None) -> int:
                   "expect growing queues")
     except EnumerationCapError:
         pass
-    trace = adapt_mod.adapt_run(scn.topology, scn.channel, scn.adapt, scn.sim)
+    trace = adapt_mod.adapt_run(scn.topology, scn.channel, scn.adapt,
+                                mu=scn.params.mu, seed=scn.sim.seed)
     k = scn.topology.n_links
     n = len(trace.times)
     tail = max(1, n // 4)

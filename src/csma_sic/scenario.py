@@ -33,7 +33,7 @@ _PHY_KEYS = {"tx_power", "noise_power", "sinr_threshold", "cancel_fraction",
 _RATES_KEYS = {"r", "lambda", "mu"}
 _SIM_KEYS = {"horizon", "seed", "warmup"}
 _ADAPT_KEYS = {"target_rates", "update_period", "max_updates", "step_a0",
-               "step_i0", "r_cap", "arrivals"}
+               "step_i0"}
 
 
 def _require_keys(section: str, mapping: dict, allowed: set) -> None:

@@ -105,8 +105,6 @@ class SimStats:
     completed: np.ndarray
     occupancy: dict  # active-set bitmask -> occupied duration
     measured_time: float
-    horizon: float
-    warmup: float
 
     def occupancy_fractions(self) -> dict:
         """Time fraction spent in each active set, keyed by bitmask."""
@@ -373,8 +371,6 @@ class Simulator:
             completed=np.array(self.completed, dtype=np.int64),
             occupancy=dict(self.occupancy),
             measured_time=measured,
-            horizon=self.now,
-            warmup=self.warmup,
         )
 
 

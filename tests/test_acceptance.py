@@ -223,8 +223,7 @@ def test_6_gradient_adaptation():
     channel = build_channel_matrix(topo)
     cfg = AdaptConfig(target_rates=[0.5, 0.5, 0.5], update_period=100.0,
                       max_updates=500, step_a0=5.0, step_i0=1e18)
-    trace = adapt_run(topo, channel, cfg,
-                      SimConfig(horizon=1.0, seed=1, warmup=0.0))
+    trace = adapt_run(topo, channel, cfg, seed=1)
     n = len(trace.times)
     service = trace.tau_emp[3 * n // 4:].mean(axis=0)
     slopes = np.abs(trace.queue_slopes())
@@ -232,8 +231,7 @@ def test_6_gradient_adaptation():
 
     hot = AdaptConfig(target_rates=[0.9, 0.9, 0.9], update_period=100.0,
                       max_updates=500, step_a0=5.0, step_i0=1e18)
-    hot_trace = adapt_run(topo, channel, hot,
-                          SimConfig(horizon=1.0, seed=1, warmup=0.0))
+    hot_trace = adapt_run(topo, channel, hot, seed=1)
     infeasible_ok = bool(np.any(hot_trace.queue_slopes() > 0.05))
     _report(6, "gradient rate adaptation", feasible_ok and infeasible_ok,
             f"min service {service.min():.3f}, max |slope| {slopes.max():.2e}, "

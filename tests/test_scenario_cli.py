@@ -88,6 +88,8 @@ class TestParsing:
             ("rates", None, ("gamma", [1, 2, 3])),
             ("sim", None, ("duration", 10)),
             ("adapt", None, ("momentum", 0.9)),
+            ("adapt", None, ("arrivals", "poisson")),
+            ("adapt", None, ("r_cap", 25.0)),
             ("capacity", None, ("y", [1, 1, 1])),
         ]
         for key, val, insert in bad_edits:
@@ -339,8 +341,6 @@ class TestCli:
         ("max_updates", 2.5, "max_updates must be an integer"),
         ("max_updates", True, "max_updates must be an integer"),
         ("max_updates", "20", "max_updates must be an integer"),
-        ("r_cap", -1.0, "r_cap must be positive"),
-        ("r_cap", 0.0, "r_cap must be positive"),
     ])
     def test_bad_adapt_schedule_exit_code(self, tmp_path, key, value, message,
                                           capsys):
@@ -496,7 +496,6 @@ class TestCli:
         ("capacity", "x", [0.5, False, 0.5]),
         ("adapt", "target_rates", [0.3, "0.3", 0.3]),
         ("adapt", "update_period", "100"),
-        ("adapt", "r_cap", True),
     ])
     def test_non_numeric_field_exit_code(self, tmp_path, section, key, value,
                                          capsys):

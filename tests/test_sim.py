@@ -11,12 +11,12 @@ import pytest
 import scipy.stats
 import yaml
 
-from csma_sic import (ChannelMatrix, NetworkTopology, Link, Node, PhyConfig,
-                      RateParams, SimConfig, Simulator, TxTable,
+from csma_sic import (ChannelMatrix, NetworkTopology, Link, LinkSet, Node,
+                      PhyConfig, RateParams, SimConfig, Simulator, TxTable,
                       build_channel_matrix, check_feasible,
                       empirical_throughput, enumerate_feasible,
-                      expected_throughput, load_scenario, run, steady_state,
-                      warm_coeff_table)
+                      expected_throughput, is_independent, load_scenario, run,
+                      steady_state, warm_coeff_table)
 from csma_sic import sim as sim_module
 from csma_sic.cli import main as cli_main
 from csma_sic.setspace import ENUMERATION_CAP, bit_ids, independence_oracle
@@ -83,6 +83,18 @@ def raw_draws(monkeypatch):
     return streams
 
 
+def per_link_thresholds(rng, topo):
+    """``topo`` with one SINR threshold per link, each drawn from
+    [0.8, 3.0], or None when a link no longer passes its own alone."""
+    betas = tuple(float(b) for b in rng.uniform(0.8, 3.0, topo.n_links))
+    topo = NetworkTopology(topo.nodes, topo.links,
+                           replace(topo.phy, sinr_threshold=betas))
+    channel = build_channel_matrix(topo)
+    solo = all(is_independent(LinkSet.from_ids([l.id], topo.n_links), topo,
+                              channel) for l in topo.links)
+    return topo if solo else None
+
+
 def has_out_of_range_pair(topo):
     return not all(topo.in_range(a, b) for a in range(topo.n_nodes)
                    for b in range(a))
@@ -96,8 +108,10 @@ def receiver_veto(topo, coeffs, active, link):
     decoding with ``check_feasible``, from their own coefficient table and
     the transmissions they hear, the candidate's RTS included; any refusal
     is a veto.  Returns the verdict and the number of ongoing receivers that
-    did not hear the candidate.
+    did not hear the candidate.  Each receiver knows the threshold of every
+    link it hears, as ``beta_by_pair``.
     """
+    betas = {(l.tx, l.rx): topo.phy.beta_for(l.id) for l in topo.links}
     links = [topo.links[i] for i in bit_ids(active)]
     busy = {n for o in links for n in (o.tx, o.rx)}
     if link.tx in busy or link.rx in busy:
@@ -111,7 +125,7 @@ def receiver_veto(topo, coeffs, active, link):
             if topo.in_range(o.tx, judge.rx):
                 txs.register(o.tx, o.rx)
         if not check_feasible(judge.tx, judge.rx, coeffs[judge.rx], txs,
-                              topo.phy):
+                              topo.phy, betas):
             return False, len(trial) - len(judges)
     return True, len(trial) - len(judges)
 
@@ -373,11 +387,22 @@ class TestFrontierAgreement:
 
     def test_table_check_on_partial_views(self):
         # receivers that do not hear the candidate do not judge it; the
-        # frontier must still equal the verdict of those that do
+        # frontier must still equal the verdict of those that do, under one
+        # threshold and under per-link thresholds, in range or not
         clusters = np.random.default_rng(5)
         sparse = np.random.default_rng(939)
         topologies = ([two_clusters(clusters) for _ in range(30)]
                       + [sparse_topology(sparse, 4, 11) for _ in range(8)])
+        rng = np.random.default_rng(949)
+        per_link = []
+        for draw in ([random_topology(rng, int(rng.integers(2, 7)))
+                      for _ in range(20)]
+                     + [sparse_topology(rng, 4, 11) for _ in range(20)]):
+            topo = per_link_thresholds(rng, draw)
+            if topo is not None:
+                per_link.append(topo)
+        assert 0 < sum(map(has_out_of_range_pair, per_link)) < len(per_link)
+        topologies += per_link
         unheard = 0
         for topo in topologies:
             channel = build_channel_matrix(topo)
