@@ -12,10 +12,10 @@ from .phy import (ChannelMatrix, Link, NetworkTopology, Node, PhyConfig,
 from .localstate import (CoeffTable, MissingGainError, TxTable,
                          check_all_feasible, check_feasible, overhear_ack,
                          overhear_cts, overhear_rts, warm_coeff_table)
-from .setspace import (EnumerationCapError, FeasibleFamily, LinkSet,
-                       capacity_contains, enumerate_feasible, eta,
-                       independence_oracle, is_independent,
-                       reachable_subfamily)
+from .setspace import (CompiledNetwork, EnumerationCapError, FeasibleFamily,
+                       LinkSet, capacity_contains, compile_network,
+                       enumerate_feasible, eta, independence_oracle,
+                       is_independent, reachable_subfamily)
 from .ctmc import (RateParams, SteadyState, detailed_balance_residual,
                    expected_throughput, global_balance_residual, steady_state)
 from .sim import SimConfig, SimStats, Simulator, empirical_throughput, run

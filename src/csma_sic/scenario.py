@@ -15,7 +15,8 @@ from .adapt import AdaptConfig
 from .ctmc import RateParams
 from .phy import (ChannelMatrix, NetworkTopology, PhyConfig, build_channel_matrix,
                   real_array, reals_only)
-from .setspace import LinkSet, is_independent
+# perfbench/run.py wraps ``scenario.is_independent``, which is not called here.
+from .setspace import compile_network, is_independent  # noqa: F401
 from .sim import SimConfig
 
 
@@ -24,8 +25,16 @@ class ScenarioError(ValueError):
 
 
 # libyaml's parser when PyYAML was built with it, else the pure-Python one;
-# both resolve and construct the same Python values.
+# both compose the same node tree, with the same resolved tags.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# The safe loader's own constructors of the core scalar tags and its
+# merge-key flattening; they keep no state between calls.
+_SAFE = yaml.constructor.SafeConstructor()
+_SCALARS = {f"tag:yaml.org,2002:{name}":
+            getattr(_SAFE, f"construct_yaml_{name}")
+            for name in ("null", "bool", "int", "float", "str")}
+_SEQ, _MAP = "tag:yaml.org,2002:seq", "tag:yaml.org,2002:map"
 
 
 _PHY_KEYS = {"tx_power", "noise_power", "sinr_threshold", "cancel_fraction",
@@ -60,6 +69,8 @@ class Scenario:
 
 
 def _integer(value) -> int:
+    if type(value) is int:  # as YAML gives it; skips two ABC checks
+        return value
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise TypeError(f"{value!r} is not an integer")
     return int(value)
@@ -119,12 +130,11 @@ def parse_scenario(data: dict) -> Scenario:
     channel = build_channel_matrix(topology)
     k = topology.n_links
 
-    for link in topology.links:
-        solo = LinkSet.from_ids([link.id], k)
-        if not is_independent(solo, topology, channel):
-            raise ScenarioError(
-                f"topology: link {link.id} is not feasible on its own"
-            )
+    # compiled once: a Simulator on this topology and channel reuses it
+    unfit = ((1 << k) - 1) & ~compile_network(topology, channel).solo
+    if unfit:
+        link = (unfit & -unfit).bit_length() - 1
+        raise ScenarioError(f"topology: link {link} is not feasible on its own")
 
     rates_data = data.get("rates", {})
     _require_keys("rates", rates_data, _RATES_KEYS)
@@ -184,20 +194,94 @@ def parse_scenario(data: dict) -> Scenario:
                     raw=data)
 
 
-def load_scenario(path) -> Scenario:
-    """Read and validate one scenario file.
+def _plain(node, built: dict, open_: set):
+    """The value of a composed YAML node: what ``yaml.safe_load`` gives.
 
-    The YAML is parsed by libyaml when PyYAML has it and by PyYAML's
-    pure-Python safe loader otherwise; the resulting mapping is the same.
-    The file is read as UTF-8.  A file that does not decode, a syntax error
-    or a document that is not a mapping raises ``ScenarioError`` naming
-    ``path``.
+    Scalars go through the safe loader's own constructors, mappings
+    through its merge-key flattening.  A mapping or sequence is built once
+    and shared by every alias of it, as the safe loader shares it, so
+    nested aliases cost what the nodes cost.  ``built`` maps the id of each
+    finished one to its value, and a scalar's tag and text to its
+    immutable value, so a repeated key or id is constructed once.
+    ``open_`` holds the ids of the collections being built: an alias to
+    one of them is recursive.  A tag outside the core schema (``!!set``,
+    ``!!timestamp``, ``!!binary``, a local tag), a scalar its tag's
+    constructor refuses, an unhashable key or a recursive alias raises
+    ``ValueError``.
+    """
+    if node.id == "scalar" and node.tag in _SCALARS:
+        key = node.tag, node.value
+        value = built.get(key, built)
+        if value is built:
+            try:
+                value = built[key] = _SCALARS[node.tag](node)
+            except (ValueError, KeyError, IndexError):
+                raise ValueError(f"{_where(node)}: {node.value!r} is not a "
+                                 f"valid {node.tag}")
+        return value
+    key = id(node)
+    value = built.get(key)
+    if value is not None:
+        return value
+    if key in open_:
+        raise ValueError(f"recursive alias: the node at {_where(node)} "
+                         "contains itself")
+    open_.add(key)
+    if node.id == "sequence" and node.tag == _SEQ:
+        value = [_plain(item, built, open_) for item in node.value]
+    elif node.id == "mapping" and node.tag == _MAP:
+        _SAFE.flatten_mapping(node)
+        value = {}
+        for key_node, value_node in node.value:
+            try:
+                value[_plain(key_node, built, open_)] = _plain(
+                    value_node, built, open_)
+            except TypeError:  # the key is a list or a dict
+                raise ValueError(f"{_where(key_node)}: unhashable key")
+    else:
+        raise ValueError(f"{_where(node)}: tag {node.tag} is not supported; "
+                         "a scenario holds only mappings, sequences, "
+                         "strings, numbers, booleans and nulls")
+    open_.discard(key)
+    built[key] = value
+    return value
+
+
+def _where(node) -> str:
+    mark = node.start_mark
+    return f"line {mark.line + 1}, column {mark.column + 1}"
+
+
+def _read_yaml(path):
+    """The plain data of one YAML file, as ``yaml.safe_load`` gives it.
+
+    The file is read as UTF-8 and composed into a node tree by libyaml
+    when PyYAML has it and by PyYAML's pure-Python parser otherwise; the
+    tree becomes plain data through ``_plain``.  A file that does not
+    decode, a syntax error or anything ``_plain`` refuses raises
+    ``ScenarioError`` naming ``path``; so does nesting deeper than
+    Python's recursion limit (about a thousand levels, where a scenario
+    has four), which ``yaml.safe_load`` would read.
     """
     with open(path, encoding="utf-8") as fh:
         try:
-            data = yaml.load(fh, Loader=_LOADER)
-        except (UnicodeDecodeError, yaml.YAMLError) as exc:
+            node = yaml.compose(fh, Loader=_LOADER)
+            return None if node is None else _plain(node, {}, set())
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
+            # ValueError: _plain's refusals and UnicodeDecodeError
             raise ScenarioError(f"{path}: {exc}")
+
+
+def load_scenario(path) -> Scenario:
+    """Read and validate one scenario file.
+
+    The mapping is ``yaml.safe_load``'s, merge keys included, but a tag
+    outside the core schema (null, bool, int, float, str, seq, map) or a
+    recursive alias is refused (``_read_yaml``).  That, a file that does
+    not decode, a syntax error or a document that is not a mapping raises
+    ``ScenarioError`` naming ``path``.
+    """
+    data = _read_yaml(path)
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
     return parse_scenario(data)

@@ -13,6 +13,8 @@ family caches one frontier per member, the bitmask of links that can join
 it, and the chain's moves are read from it.
 """
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -149,17 +151,53 @@ def is_independent(d: LinkSet, topology: NetworkTopology,
     return True
 
 
-def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix):
-    """``is_independent`` compiled for one topology, as a test on a bitmask.
+@dataclass(frozen=True, eq=False)
+class CompiledNetwork:
+    """One topology and channel compiled for judging link sets.
+
+    ``independent(mask)`` is ``is_independent`` on a bitmask, bit for bit
+    (see ``compile_network``); ``solo`` is the bitmask of the links that
+    are independent on their own; ``topology`` is the object it was
+    compiled for.
+    """
+
+    topology: NetworkTopology
+    independent: Callable[[int], bool]
+    solo: int
+
+
+def compile_network(topology: NetworkTopology,
+                    channel: ChannelMatrix) -> CompiledNetwork:
+    """The compiled network of ``topology`` and ``channel``, built once.
+
+    It is kept on ``channel`` and returned again while ``topology`` is the
+    same object, so ``load_scenario`` and a ``Simulator`` built from the
+    scenario's topology and channel share one compile; another channel
+    object, or another topology, gets its own.  Nothing else holds it, so
+    it lives as long as its channel.
+    """
+    network = getattr(channel, "_network", None)
+    if network is None or network.topology is not topology:
+        network = _compile(topology, channel)
+        object.__setattr__(channel, "_network", network)
+    return network
+
+
+def _compile(topology: NetworkTopology,
+             channel: ChannelMatrix) -> CompiledNetwork:
+    """``is_independent`` compiled for one topology, as a test on a bitmask,
+    with each link's verdict alone.
 
     What the definition looks up on every call is fixed by the topology:
     for each link, the other links that share a node with it (the
     half-duplex rule), and at its receiver the gain of every link's
     transmitter, ``0.0`` where it is out of range, and the decode order up
     to the link itself (strongest first, ties by transmitter id), each
-    stage with its link's threshold under ``topology.phy``.  A link's own
-    transmitter is always in range of its receiver, since
-    ``NetworkTopology`` requires it.
+    stage with its link's threshold under ``topology.phy``.  One pass over
+    the receivers finds both: it judges range with ``math.hypot`` on the
+    same differences as ``topology.in_range``, so the same pairs are in
+    range.  A link's own transmitter is always in range of its receiver,
+    since ``NetworkTopology`` requires it.
 
     A call walks the mask's members, not each receiver's whole in-range
     list.  It runs every clash check first; then at each member's receiver
@@ -187,20 +225,31 @@ def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix):
         rank[k.id] = r
     in_tx_order = rank == list(range(len(links)))
     betas = [phy.beta_for(k.id) for k in links]
+    xs = [n.x for n in topology.nodes]
+    ys = [n.y for n in topology.nodes]
+    senders = [(k.id, xs[k.tx], ys[k.tx]) for k in tx_order]
+    # at_rx[i][n]: the gain at link i's receiver of the n-th transmitter in
+    # transmitter order, the float channel.gain returns
+    at_rx = channel.g[np.ix_([k.tx for k in tx_order],
+                             [l.rx for l in links])].T.tolist()
+    radius, hypot = phy.radius, math.hypot
     clash, rows, before, stages, own = [], [], [], [], []
-    for l in links:
+    for l, gains in zip(links, at_rx):
         clash.append((at_node[l.tx] | at_node[l.rx]) & ~(1 << l.id))
-        gains = channel.g[:, l.rx].tolist()  # the floats channel.gain returns
-        heard = [k for k in tx_order if topology.in_range(k.tx, l.rx)]
+        x, y = xs[l.rx], ys[l.rx]
         row = [0.0] * len(links)
-        for k in heard:
-            row[k.id] = gains[k.tx]
+        heard = []
+        for (j, tx_x, tx_y), g in zip(senders, gains):
+            if hypot(tx_x - x, tx_y - y) <= radius:  # topology.in_range
+                row[j] = g
+                heard.append(j)
         rows.append(row)
-        # a stable sort keeps transmitter-id order among equal gains
-        order = sorted(heard, key=lambda k: -row[k.id])
-        up_to = order[:order.index(l) + 1]
-        stages.append(tuple((1 << k.id, row[k.id], betas[k.id]) for k in up_to))
-        before.append(sum(1 << k.id for k in up_to[:-1]))
+        # a stable sort, reversed or not, keeps transmitter-id order among
+        # equal gains
+        order = sorted(heard, key=row.__getitem__, reverse=True)
+        up_to = order[:order.index(l.id) + 1]
+        stages.append(tuple((1 << j, row[j], betas[j]) for j in up_to))
+        before.append(sum(1 << j for j in up_to[:-1]))
         own.append((row[l.id], betas[l.id]))
 
     def independent(mask: int) -> bool:
@@ -232,7 +281,13 @@ def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix):
                     return False
         return True
 
-    return independent
+    solo = sum(1 << l.id for l in links if independent(1 << l.id))
+    return CompiledNetwork(topology, independent, solo)
+
+
+def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix):
+    """``is_independent`` as a test on a bitmask: the compiled network's."""
+    return compile_network(topology, channel).independent
 
 
 def eta(bits: int, family: FeasibleFamily) -> tuple:

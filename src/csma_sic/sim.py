@@ -11,8 +11,9 @@ does not hear the candidate sees no change, so this is independence in
 every range regime, and the chain is the product-form chain of Boorstyn et
 al., "Throughput analysis in multihop CSMA packet radio networks" (IEEE
 Trans. Commun., 1987), which hidden terminals break if the transmitter
-judges only the links it hears.  Sets are judged by
-``setspace.independence_oracle``, compiled once per topology.  The
+judges only the links it hears.  Sets are judged by the oracle of
+``setspace.compile_network``, which a scenario's topology and channel
+compile once for the loader and the simulator alike.  The
 verdicts for one active set are cached as a bitmask, its frontier, and
 each start or end of a transmission suspends or resumes only the links
 whose verdict it flipped.  The event queue is one due time per link; the
@@ -35,7 +36,7 @@ from .ctmc import RateParams
 from .localstate import check_all_feasible  # noqa: F401
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig, real_array
 # perfbench/run.py wraps ``sim.is_independent``, which is not called here.
-from .setspace import bit_ids, independence_oracle, is_independent  # noqa: F401
+from .setspace import bit_ids, compile_network, is_independent  # noqa: F401
 
 
 # Standard exponentials drawn per refill of a link's buffer: large enough
@@ -69,6 +70,20 @@ def _check_seed(seed) -> None:
     if (not isinstance(seed, numbers.Integral) or isinstance(seed, bool)
             or seed < 0):
         raise ValueError("seed must be a nonnegative integer")
+
+
+def _backoff_scale(lam: np.ndarray) -> list:
+    """The mean backoffs ``1 / lam``, refusing a rate without a finite one.
+
+    A rate must be finite and positive, and so must its mean backoff: an
+    ``exp(r)`` that overflows would give zero timers, and one that
+    underflows, or lies below about 5.6e-309, infinite ones.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = 1.0 / lam
+    if not np.all(np.isfinite(lam) & (lam > 0) & np.isfinite(scale)):
+        raise ValueError("rates must be finite and positive, one per link")
+    return scale.tolist()
 
 
 def _finite(value) -> bool:
@@ -156,24 +171,28 @@ class Simulator:
         params = params or RateParams.uniform(k)
         if params.r.shape != (k,):
             raise ValueError("params must hold one rate per link")
-        self._backoff_scale = (1.0 / params.lam).tolist()
+        with np.errstate(over="ignore"):  # an infinite exp(r) is refused
+            self._backoff_scale = _backoff_scale(params.lam)
         self._hold_scale = (1.0 / params.mu).tolist()
         _check_seed(seed)
         if not _finite(warmup) or warmup < 0:
             raise ValueError("warmup must be finite and nonnegative")
         self.warmup = warmup
 
-        self._frontier_cache = {}
-        self._indep_cache = {}
         self._all = (1 << k) - 1
         self._pairs = [None] * k
-        self._oracle = independence_oracle(topology, channel)
+        network = compile_network(topology, channel)
+        self._oracle = network.independent
         # every timer counts from time 0, so every link must run alone
-        self.counting = self._frontier(0)
-        unfit = self._all & ~self.counting
+        unfit = self._all & ~network.solo
         if unfit:
             link = (unfit & -unfit).bit_length() - 1
             raise ValueError(f"link {link} is not solo-feasible")
+        # the empty set's frontier and the solo verdicts it rests on, as
+        # judging it would store them
+        self.counting = network.solo
+        self._frontier_cache = {0: network.solo}
+        self._indep_cache = dict.fromkeys((1 << i for i in range(k)), True)
 
         self._draws = [
             _exponentials(np.random.Generator(np.random.PCG64(
@@ -205,10 +224,9 @@ class Simulator:
     def set_rates(self, lam) -> None:
         """Change activation rates; applies to subsequently drawn backoffs."""
         lam = real_array("rates", lam)
-        if (lam.shape != (len(self._backoff_scale),)
-                or not np.all(np.isfinite(lam) & (lam > 0))):
+        if lam.shape != (len(self._backoff_scale),):
             raise ValueError("rates must be finite and positive, one per link")
-        self._backoff_scale = (1.0 / lam).tolist()
+        self._backoff_scale = _backoff_scale(lam)
 
     def _frontier(self, mask: int, front: int = 0, maybe: int = None) -> int:
         """Bitmask of the links outside ``mask`` that may start transmitting.

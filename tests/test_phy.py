@@ -36,6 +36,12 @@ class TestChannelMatrix:
         assert np.all(np.diag(ch.g) == 0.0)
 
 
+    def test_no_nodes(self):
+        # np.array([]) has shape (0,), which cannot be indexed as (n, 2)
+        ch = build_channel_matrix(NetworkTopology((), ()))
+        assert ch.g.shape == (0, 0)
+
+
 class TestSicDecodable:
     def test_single_signal_above_threshold(self):
         # P*g/n0 = 2*beta: comfortably decodable alone

@@ -12,7 +12,8 @@ import yaml
 
 from csma_sic import ScenarioError, dump_scenario, load_scenario
 from csma_sic.cli import main
-from csma_sic.scenario import _LOADER, parse_scenario
+from csma_sic import scenario
+from csma_sic.scenario import _LOADER, _read_yaml, parse_scenario
 from conftest import triangle_topology
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +49,15 @@ def triangle_scenario_dict():
             "max_updates": 20,
         },
     }
+
+
+def typed(v):
+    """``v`` with each scalar paired with its type, so 1 and 1.0 differ."""
+    if isinstance(v, dict):
+        return {typed(k): typed(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [typed(x) for x in v]
+    return type(v), v
 
 
 @pytest.fixture
@@ -150,16 +160,8 @@ class TestParsing:
                              ids=lambda p: str(p.relative_to(ROOT)))
     def test_loader_matches_safe_load(self, path):
         # the pure-Python safe loader is the reference: same values, same types
-        def typed(v):
-            if isinstance(v, dict):
-                return {typed(k): typed(x) for k, x in v.items()}
-            if isinstance(v, list):
-                return [typed(x) for x in v]
-            return type(v), v
-
         text = path.read_text()
-        assert typed(yaml.load(text, Loader=_LOADER)) == typed(
-            yaml.safe_load(text))
+        assert typed(_read_yaml(path)) == typed(yaml.safe_load(text))
 
     def test_libyaml_loader_used_when_present(self):
         expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -168,6 +170,119 @@ class TestParsing:
     def test_missing_topology(self):
         with pytest.raises(ScenarioError):
             parse_scenario({"phy": {}})
+
+
+@pytest.fixture(params=["libyaml", "pure-python"])
+def yaml_loader(request, monkeypatch):
+    """Compose with libyaml when PyYAML has it, and with the pure-Python
+    parser, the fallback where it does not."""
+    if request.param == "pure-python":
+        monkeypatch.setattr(scenario, "_LOADER", yaml.SafeLoader)
+    elif not yaml.__with_libyaml__:
+        pytest.skip("PyYAML was built without libyaml")
+
+
+class TestYamlReader:
+    """``load_scenario`` reads YAML as ``yaml.safe_load`` does, but refuses
+    tags outside the core schema and recursive aliases."""
+
+    SAME_AS_SAFE_LOAD = {
+        "anchors": "a: &x [1, 2.5, {b: c}]\nd: *x\ne: &y 7\nf: [*y, *y]\n",
+        "merge": ("base: &b {noise_power: 0.1, radius: 5.0}\n"
+                  "phy:\n  <<: *b\n  radius: 6.0\n"),
+        "merge-list": ("p: &p {a: 1, b: 2}\nq: &q {b: 3, c: 4}\n"
+                       "r: {<<: [*p, *q], d: 5}\n"),
+        "merge-nested": ("p: &p {a: 1}\nq: &q {<<: *p, b: 2}\n"
+                         "r: {<<: *q, c: 3}\n"),
+        "core-tags": ("a: !!float 1\nb: !!str 5\nc: !!int \"7\"\n"
+                      "d: !!bool yes\ne: !!null ''\nf: !!seq [1]\n"
+                      "g: !!map {h: 1}\ni: !!str\nj: ! 12\n"),
+        "yaml11": ("a: .inf\nb: -.Inf\nc: 1_000\nd: 0x1f\ne: yes\n"
+                   "f: Off\ng: 017\nh: 0b101\ni: 1:30\nj: 1.5e+3\n"
+                   "k: 1e3\nl: ~\nm:\nn: +12\no: -0.0\np: 6.8523015e+5\n"
+                   "q: 190:20:30.15\n"),
+        "strings": ("a: 'yes'\nb: \"1.0\"\nc: plain text\nd: |\n  block\n"
+                    "e: [x, 'y', \"z\"]\n1: int key\n2.5: float key\n"
+                    "null: null key\ntrue: bool key\n"),
+        "duplicate-keys": "a: 1\nb: 2\na: 3\n",
+        "not-a-mapping": "[1, 2, 3]\n",
+        "empty": "",
+    }
+
+    @pytest.mark.parametrize("name", sorted(SAME_AS_SAFE_LOAD))
+    def test_same_as_safe_load(self, name, tmp_path, yaml_loader):
+        text = self.SAME_AS_SAFE_LOAD[name]
+        p = tmp_path / "doc.yaml"
+        p.write_text(text)
+        assert typed(_read_yaml(p)) == typed(yaml.safe_load(text))
+
+    def test_aliases_share_one_value(self, tmp_path, yaml_loader):
+        """Forty levels of aliases that each double the one before: the
+        safe loader builds each level once and so does the reader, not
+        2^40 times."""
+        lines = ["l0: &l0 [1]"] + [f"l{i}: &l{i} [*l{i - 1}, *l{i - 1}]"
+                                   for i in range(1, 41)]
+        p = tmp_path / "deep.yaml"
+        p.write_text("\n".join(lines) + "\n")
+        data = _read_yaml(p)
+        assert data["l40"][0] is data["l40"][1] is data["l39"]
+        assert data["l1"] == [[1], [1]]
+
+    def test_deep_nesting_refused(self, tmp_path, yaml_loader, capsys):
+        """Nesting past Python's recursion limit is an error with exit code
+        2, not a traceback: 5,000 levels, where a scenario has four."""
+        p = tmp_path / "deep.yaml"
+        p.write_text("topology: " + "[" * 5000 + "]" * 5000 + "\n")
+        assert main(["analyze", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {p}: ")
+        assert captured.out == ""
+
+    NO_TOPOLOGY = "topology: {nodes: [], links: []}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        pytest.param("topology: !!set {a, b}\n", "tag:yaml.org,2002:set",
+                     id="set"),
+        pytest.param(NO_TOPOLOGY + "sim: {horizon: !!timestamp 2001-12-14}\n",
+                     "tag:yaml.org,2002:timestamp", id="timestamp"),
+        pytest.param(NO_TOPOLOGY + "sim: {horizon: 2001-12-14}\n",
+                     "tag:yaml.org,2002:timestamp", id="implicit-timestamp"),
+        pytest.param(NO_TOPOLOGY + "sim: {horizon: !!binary aGVsbG8=}\n",
+                     "tag:yaml.org,2002:binary", id="binary"),
+        pytest.param(NO_TOPOLOGY + "sim: !!omap [{horizon: 1.0}]\n",
+                     "tag:yaml.org,2002:omap", id="omap"),
+        pytest.param(NO_TOPOLOGY + "sim: {horizon: !metres 5.0}\n",
+                     "!metres", id="local-tag"),
+        pytest.param(NO_TOPOLOGY + "sim: !!python/tuple [1, 2]\n",
+                     "tag:yaml.org,2002:python/tuple", id="python-tag"),
+        pytest.param("topology: &t {nodes: [*t], links: []}\n",
+                     "recursive alias", id="recursive-mapping"),
+        pytest.param("topology: {nodes: &n [1, *n], links: []}\n",
+                     "recursive alias", id="recursive-sequence"),
+        pytest.param(NO_TOPOLOGY + "sim: {horizon: !!float abc}\n",
+                     "'abc' is not a valid tag:yaml.org,2002:float",
+                     id="bad-float"),
+        pytest.param(NO_TOPOLOGY + "sim: {seed: !!int ''}\n",
+                     "'' is not a valid tag:yaml.org,2002:int", id="bad-int"),
+        pytest.param(NO_TOPOLOGY + "sim: {seed: !!bool maybe}\n",
+                     "'maybe' is not a valid tag:yaml.org,2002:bool",
+                     id="bad-bool"),
+        pytest.param("? [1, 2]\n: 3\n", "unhashable key",
+                     id="unhashable-key"),
+        pytest.param(NO_TOPOLOGY + "a: {<<: 1}\n", "expected a mapping",
+                     id="merge-scalar"),
+    ])
+    def test_refused(self, text, message, tmp_path, yaml_loader, capsys):
+        p = tmp_path / "bad.yaml"
+        p.write_text(text)
+        for command in ("analyze", "simulate"):
+            assert main([command, str(p)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"error: {p}: ")
+            assert message in captured.err
+            assert captured.out == ""
+        with pytest.raises(ScenarioError, match=r"line \d+"):
+            load_scenario(p)
 
 
 class TestCli:
@@ -437,6 +552,44 @@ class TestCli:
             captured = capsys.readouterr()
             assert all(line + "\n" in captured.out for line in lines), command
             assert captured.err == "", command
+
+    def test_no_node_scenario(self, tmp_path, capsys):
+        # no nodes and no links: the family is the empty set alone
+        d = {"topology": {"nodes": [], "links": []},
+             "sim": {"horizon": 100.0},
+             "capacity": {"x": []},
+             "adapt": {"target_rates": [], "max_updates": 3}}
+        p = tmp_path / "none.yaml"
+        p.write_text(yaml.safe_dump(d))
+        for command, lines in (
+                ("simulate",
+                 ["occupancy {}: analytical=1 empirical=1 |diff|=0"]),
+                ("analyze", ["feasible sets: 1", "Q{} = 1"]),
+                ("capacity", ["inside capacity region: yes", "alpha{} = 1"]),
+                ("adapt", ["updates: 3, final-quarter mean service rate: []"])):
+            assert main([command, str(p)]) == 0, command
+            captured = capsys.readouterr()
+            assert all(line + "\n" in captured.out for line in lines), command
+            assert captured.err == "", command
+
+    @pytest.mark.parametrize("r", [800.0, -800.0])
+    def test_rates_that_overflow_or_underflow(self, tmp_path, r, capsys):
+        """``exp(r)`` is infinite or zero: ``simulate`` refuses it,
+        ``analyze`` still solves the chain with these exponents, and
+        ``adapt`` starts from r = 0 whatever ``rates.r`` says."""
+        d = triangle_scenario_dict()
+        d["rates"] = {"r": [r, 0.0, 0.0]}
+        d["sim"]["horizon"] = 100.0
+        p = tmp_path / "rates.yaml"
+        p.write_text(yaml.safe_dump(d))
+        assert main(["simulate", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: rates must be finite and positive, "
+                                "one per link\n")
+        assert captured.out == ""
+        for command in ("analyze", "adapt"):
+            assert main([command, str(p)]) == 0, command
+            assert capsys.readouterr().err == "", command
 
     def test_partial_range_scenario(self, tmp_path, capsys):
         # not every node hears every other; the simulator stays inside the

@@ -1,7 +1,10 @@
 """Independent-set enumeration and the capacity-region membership test."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +12,18 @@ from hypothesis import given, settings, strategies as st
 
 from csma_sic import (ChannelMatrix, EnumerationCapError, FeasibleFamily,
                       Link, LinkSet, NetworkTopology, Node, PhyConfig,
-                      build_channel_matrix, capacity_contains,
-                      enumerate_feasible, eta, independence_oracle,
-                      is_independent, reachable_subfamily)
+                      Simulator, build_channel_matrix, capacity_contains,
+                      compile_network, enumerate_feasible, eta,
+                      independence_oracle, is_independent, load_scenario,
+                      reachable_subfamily)
 from csma_sic import setspace
 from csma_sic.setspace import bit_ids
 from csma_sic.phy import D_MIN
 from conftest import random_topology, triangle_topology
 
+ROOT = Path(__file__).resolve().parent.parent
+COMMITTED_SCENARIOS = sorted(ROOT.glob("scenarios/*.yaml")) + sorted(
+    ROOT.glob("perfbench/scenarios/*.yaml"))
 
 class TestLinkSet:
     def test_roundtrip(self):
@@ -288,6 +295,154 @@ class TestIndependenceOracle:
         assert (1.0 + tiny) + tiny == 1.0 < (tiny + tiny) + 1.0
         assert is_independent(LinkSet(0b111, 3), topo, channel)
         assert independence_oracle(topo, channel)(0b111)
+
+
+def judged_masks(topo, channel, rng, n_random=200):
+    """Masks to judge: the empty set, every pair, random dense and sparse
+    masks, and the growth of random maximal independent sets, so that
+    large accepted sets are judged too."""
+    k = topo.n_links
+    masks = [0] + [1 << i | 1 << j for i in range(k) for j in range(i, k)]
+    masks += [int(rng.integers(0, 1 << k)) for _ in range(n_random)]
+    masks += [int(rng.integers(0, 1 << k) & rng.integers(0, 1 << k)
+                  & rng.integers(0, 1 << k)) for _ in range(n_random)]
+    for _ in range(10):
+        grown = 0
+        for i in rng.permutation(k).tolist():
+            if is_independent(LinkSet(grown | 1 << i, k), topo, channel):
+                grown |= 1 << i
+                masks.append(grown)
+    return masks
+
+
+class TestCompiledNetwork:
+    """``compile_network``: its solo verdicts and its oracle are
+    ``is_independent``'s, and one (topology, channel) pair compiles once."""
+
+    @staticmethod
+    def assert_matches(topo, channel, masks):
+        """Solo verdicts and verdicts on ``masks`` equal is_independent's;
+        returns how many of the masks are independent."""
+        k = topo.n_links
+        network = compile_network(topo, channel)
+        solo = sum(1 << i for i in range(k)
+                   if is_independent(LinkSet(1 << i, k), topo, channel))
+        assert network.solo == solo
+        accepted = 0
+        for mask in masks:
+            verdict = is_independent(LinkSet(mask, k), topo, channel)
+            assert network.independent(mask) is verdict, mask
+            accepted += verdict
+        return accepted
+
+    @pytest.mark.parametrize("path", COMMITTED_SCENARIOS,
+                             ids=lambda p: str(p.relative_to(ROOT)))
+    def test_committed_scenarios(self, path):
+        scn = load_scenario(path)
+        rng = np.random.default_rng(61)
+        masks = judged_masks(scn.topology, scn.channel, rng)
+        accepted = self.assert_matches(scn.topology, scn.channel, masks)
+        assert 0 < accepted < len(masks)
+        assert compile_network(scn.topology, scn.channel).solo == (
+            (1 << scn.topology.n_links) - 1)
+
+    @pytest.mark.parametrize("geometry", [{}, {"radius": 6.0, "area": 20.0}],
+                             ids=["full-range", "partial-range"])
+    def test_random_topologies(self, geometry):
+        """All in range and partial range, uniform and per-link thresholds;
+        the per-link thresholds reach up to 40, so some links fail alone."""
+        rng = np.random.default_rng(67)
+        unfit = 0
+        for k in (3, 8, 14):
+            for z in (0.0, 0.6, 1.0):
+                topo = random_topology(rng, k, cancel_fraction=z, **geometry)
+                for phy in (topo.phy,
+                            replace(topo.phy, sinr_threshold=tuple(
+                                rng.uniform(0.5, 40.0, size=k)))):
+                    t = replace(topo, phy=phy)
+                    channel = build_channel_matrix(t)
+                    self.assert_matches(t, channel,
+                                        judged_masks(t, channel, rng, 100))
+                    unfit += compile_network(t, channel).solo != (1 << k) - 1
+        assert unfit
+
+    @pytest.mark.parametrize("radius", [5.0, math.nextafter(5.0, 0.0)],
+                             ids=["at-radius", "one-ulp-less"])
+    def test_nodes_exactly_radius_apart(self, radius):
+        """Link 1's transmitter is exactly 5 from link 0's receiver
+        (``math.hypot(3, 4)``): in range at radius 5, so its interference
+        breaks link 0's threshold of 200, and out of range one ulp below."""
+        nodes = (Node(0, 0.0, 0.0), Node(1, 1.0, 0.0), Node(2, 4.0, 4.0),
+                 Node(3, 4.0, 5.0))
+        phy = PhyConfig(noise_power=0.0, sinr_threshold=(200.0, 1.5),
+                        radius=radius)
+        topo = NetworkTopology(nodes, (Link(0, 0, 1), Link(1, 2, 3)), phy)
+        assert topo.distance(2, 1) == 5.0
+        assert topo.in_range(2, 1) is (radius == 5.0)
+        channel = build_channel_matrix(topo)
+        self.assert_matches(topo, channel, range(4))
+        assert compile_network(topo, channel).independent(0b11) is (
+            radius != 5.0)
+
+    @pytest.mark.parametrize("z", [0.0, 0.5, 1.0])
+    def test_tie_in_gains(self, z):
+        """Links 1 and 2 transmit from 5 away from link 0's receiver, at
+        (3, 4) and (4, 3): equal gains, stronger than link 0's own from 7
+        away, so the decode order between them falls to the transmitter
+        id, each stage with its own link's threshold.  With full
+        cancellation the first stage passes a threshold up to about 0.73
+        and the second one up to about 2.7, so the order decides."""
+        nodes = (Node(0, 7.0, 0.0), Node(1, 0.0, 0.0), Node(2, 3.0, 4.0),
+                 Node(3, 3.0, 5.0), Node(4, 4.0, 3.0), Node(5, 5.0, 3.0))
+        links = (Link(0, 0, 1), Link(1, 2, 3), Link(2, 4, 5))
+        verdicts = {}
+        for betas in ((0.1, 0.5, 2.0), (0.1, 2.0, 0.5), (0.1, 0.5, 0.6)):
+            phy = PhyConfig(noise_power=0.0, sinr_threshold=betas,
+                            cancel_fraction=z, radius=100.0)
+            topo = NetworkTopology(nodes, links, phy)
+            channel = build_channel_matrix(topo)
+            assert channel.g[2, 1] == channel.g[4, 1] > channel.g[0, 1]
+            self.assert_matches(topo, channel, range(8))
+            verdicts[betas[1:]] = compile_network(topo, channel).independent(
+                0b111)
+        if z == 1.0:
+            assert verdicts == {(0.5, 2.0): True, (2.0, 0.5): False,
+                                (0.5, 0.6): True}
+
+    def test_scenario_compiles_once(self, monkeypatch):
+        """``load_scenario`` and a ``Simulator`` on its topology and channel
+        share one compile; a new channel object, or a new topology object,
+        compiles again."""
+        compiled = []
+        real = setspace._compile
+        monkeypatch.setattr(setspace, "_compile",
+                            lambda t, c: compiled.append(c) or real(t, c))
+        scn = load_scenario(ROOT / "scenarios" / "sparse-k10.yaml")
+        assert compiled == [scn.channel]
+        Simulator(scn.topology, scn.channel, phy=scn.topology.phy,
+                  params=scn.sim.params, seed=1).advance(50.0)
+        assert independence_oracle(scn.topology, scn.channel) is (
+            compile_network(scn.topology, scn.channel).independent)
+        assert compiled == [scn.channel]
+        channel = build_channel_matrix(scn.topology)
+        Simulator(scn.topology, channel, seed=1).advance(50.0)
+        Simulator(scn.topology, channel, seed=2)
+        assert compiled == [scn.channel, channel]
+        topo = replace(scn.topology)
+        network = compile_network(topo, channel)
+        assert network.topology is topo
+        assert len(compiled) == 3
+
+    def test_network_lives_with_its_channel(self, triangle):
+        """Nothing but the channel holds a compiled network."""
+        topo, _ = triangle
+        channel = build_channel_matrix(topo)
+        network = weakref.ref(compile_network(topo, channel))
+        gc.collect()
+        assert network() is not None
+        del channel
+        gc.collect()
+        assert network() is None
 
 
 class TestChannelShape:

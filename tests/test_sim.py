@@ -3,6 +3,7 @@
 import bisect
 import hashlib
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -653,6 +654,25 @@ class TestCacheCap:
                 == default.completed_total.tolist())
 
 
+class TestInitialCaches:
+    @pytest.mark.parametrize("path", [
+        TRIANGLE_YAML, ROOT / "scenarios" / "sparse-k10.yaml",
+        PERFBENCH_SCENARIOS / "dense-k25.yaml",
+        PERFBENCH_SCENARIOS / "spread-k12.yaml"], ids=lambda p: p.stem)
+    def test_empty_frontier_stored(self, path):
+        """``__init__`` takes the empty set's frontier and its solo verdicts
+        from the compiled network, and stores them as judging the empty
+        set stores them, so ``advance`` judges no solo set again."""
+        scn = load_scenario(path)
+        sim = Simulator(scn.topology, scn.channel, seed=1)
+        judged = Simulator(scn.topology, scn.channel, seed=1)
+        judged._frontier_cache.clear()
+        judged._indep_cache.clear()
+        assert judged._frontier(0) == sim.counting
+        assert judged._frontier_cache == sim._frontier_cache
+        assert judged._indep_cache == sim._indep_cache
+
+
 def advance_to_expiry(sim):
     """Process events until the next one starts a transmission; return the
     time and link of that event."""
@@ -971,6 +991,35 @@ class TestRateChanges:
         with pytest.raises(ValueError, match="must be real numbers"):
             sim.set_rates(bad)
         assert sim._backoff_scale == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("r", [800.0, -800.0, -745.0])
+    def test_rates_without_finite_backoff_refused(self, triangle, r):
+        """``exp(800)`` overflows to inf, which gave zero timers;
+        ``exp(-800)`` underflows to 0 and ``exp(-745)`` is 5e-324, whose
+        ``1 / lam`` overflows, which gave infinite ones.  ``Simulator`` and
+        ``set_rates`` refuse them by one check, and numpy warns of
+        nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rates must be finite and "
+                                                 "positive, one per link"):
+                Simulator(*triangle, params=RateParams([0.0, r, 0.0]))
+            sim = Simulator(*triangle)
+            with np.errstate(over="ignore"):
+                lam = np.exp([0.0, r, 0.0])
+            with pytest.raises(ValueError, match="rates must be finite and "
+                                                 "positive, one per link"):
+                sim.set_rates(lam)
+            assert sim._backoff_scale == [1.0, 1.0, 1.0]
+
+    def test_extreme_finite_rates_accepted(self, triangle):
+        """``exp(709)`` and ``exp(-709)`` and their inverses are finite."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = Simulator(*triangle, params=RateParams([709.0, -709.0, 0.0]))
+            sim.set_rates(np.exp([-709.0, 709.0, 0.0]))
+        assert sim._backoff_scale == (1.0 / np.exp([-709.0, 709.0, 0.0])
+                                      ).tolist()
 
     def test_set_rates_accepts_numpy_arrays(self, triangle):
         sim = Simulator(triangle[0], triangle[1])
