@@ -20,9 +20,29 @@ from .setspace import (FeasibleFamily, bit_ids, eta,  # noqa: F401
                        reachable_subfamily)
 
 
+def mean_times(rates: np.ndarray, message: str) -> list:
+    """The mean times ``1 / rates`` as a list, refusing with ``message`` a
+    rate that is not finite and positive or whose mean time is not finite.
+
+    A positive rate below about 5.6e-309 has an infinite mean time.  The
+    quotients are Python's, which are numpy's bit for bit and warn of
+    nothing.
+    """
+    values = rates.tolist()
+    if not all(0.0 < x < math.inf for x in values):
+        raise ValueError(message)
+    scale = [1.0 / x for x in values]
+    if math.inf in scale:
+        raise ValueError(message)
+    return scale
+
+
 @dataclass(frozen=True)
 class RateParams:
-    """Per-link aggressiveness exponents r (lambda = exp(r)) and service rates mu."""
+    """Per-link aggressiveness exponents r (lambda = exp(r)) and service rates mu.
+
+    Each mu must have a finite mean holding time 1 / mu.
+    """
 
     r: np.ndarray
     mu: np.ndarray = None
@@ -36,6 +56,8 @@ class RateParams:
             raise ValueError("r and mu must be finite")
         if np.any(mu <= 0):
             raise ValueError("service rates must be positive")
+        mean_times(mu, "service rates must have finite mean holding times "
+                       "1/mu")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "mu", mu)
 

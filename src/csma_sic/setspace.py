@@ -11,11 +11,19 @@ link i, in the family, the frontier and the capacity LP alike; ``LinkSet``
 is the argument of ``is_independent`` and the printer of a mask.  The
 family caches one frontier per member, the bitmask of links that can join
 it, and the chain's moves are read from it.
+
+``compile_network`` compiles a topology and channel once into the tables
+``is_independent`` reads.  Its ``joins`` judges a set plus each of some
+candidate links in one pass over the set, ``independent`` is ``joins`` on
+a set's top link, and ``interacts`` holds, per link, the links whose
+verdicts its start or end can change.  The scenario loader and the
+simulator judge sets with it; enumeration still calls ``is_independent``.
 """
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -155,15 +163,43 @@ def is_independent(d: LinkSet, topology: NetworkTopology,
 class CompiledNetwork:
     """One topology and channel compiled for judging link sets.
 
-    ``independent(mask)`` is ``is_independent`` on a bitmask, bit for bit
-    (see ``compile_network``); ``solo`` is the bitmask of the links that
-    are independent on their own; ``topology`` is the object it was
-    compiled for.
+    ``joins(mask, cands, verdicts)`` is the bitmask of the links c in
+    ``cands`` outside ``mask`` for which ``mask`` plus c is independent.
+    Each verdict is read from the dict ``verdicts``, keyed by the mask
+    plus c, or judged and stored there; a ``mask`` whose own members
+    clash gives 0 at once.  ``independent(mask)`` is ``joins`` applied to
+    the top link of ``mask``, so one routine judges every set, and both
+    equal ``is_independent`` bit for bit (see ``_compile``).  ``solo`` is
+    the bitmask of the links that are independent on their own, and
+    ``topology`` is the object the network was compiled for.
+
+    ``interacts[c]``, built on first use, is the bitmask of the links that
+    interact with link c, c included: j interacts with c when some
+    receiver, c's or j's among them, hears both transmitters.  That covers
+    a shared node, which is in range of both links' ends, and either
+    link's receiver hearing the other's transmitter.  If S plus c is
+    independent and j lies outside ``interacts[c]``, then S plus c plus j
+    is independent exactly when S plus j is: j shares no node with c, and
+    each receiver adds an exact ``0.0`` for c or for j, or for both, to
+    the terms it sees in S plus j or in S plus c.
     """
 
     topology: NetworkTopology
     independent: Callable[[int], bool]
+    joins: Callable[[int, int, dict], int]
     solo: int
+    # per link, the links whose transmitters its receiver hears
+    _heard: list = field(repr=False)
+
+    @cached_property
+    def interacts(self) -> tuple:
+        """Per link c, the bitmask of the links that interact with c."""
+        heard = [sum(1 << j for j in h) for h in self._heard]
+        interacts = [0] * len(heard)
+        for near, h in zip(heard, self._heard):
+            for c in h:
+                interacts[c] |= near
+        return tuple(interacts)
 
 
 def compile_network(topology: NetworkTopology,
@@ -185,8 +221,8 @@ def compile_network(topology: NetworkTopology,
 
 def _compile(topology: NetworkTopology,
              channel: ChannelMatrix) -> CompiledNetwork:
-    """``is_independent`` compiled for one topology, as a test on a bitmask,
-    with each link's verdict alone.
+    """``is_independent`` compiled for one topology, as a test of a set
+    plus each of some candidate links, with each link's verdict alone.
 
     What the definition looks up on every call is fixed by the topology:
     for each link, the other links that share a node with it (the
@@ -197,19 +233,21 @@ def _compile(topology: NetworkTopology,
     the receivers finds both: it judges range with ``math.hypot`` on the
     same differences as ``topology.in_range``, so the same pairs are in
     range.  A link's own transmitter is always in range of its receiver,
-    since ``NetworkTopology`` requires it.
+    since ``NetworkTopology`` requires it.  The pass keeps each receiver's
+    in-range list, from which ``interacts`` is built when first read.
 
-    A call walks the mask's members, not each receiver's whole in-range
-    list.  It runs every clash check first; then at each member's receiver
-    it sums the members' gains in ascending transmitter order (link order
-    when the ids follow it, else the members are sorted once by their
-    transmitter rank).  ``sic_decodable`` sums only the in-range ones in
-    that order, and adding ``0.0`` to a nonnegative float returns it
-    unchanged, so the sums agree bit for bit.  The member's decode stages
-    are scanned only when another member is decoded before it (a bitmask
-    test); otherwise its own stage is the only one.  So the returned
-    function makes the same float comparisons as ``sic_decodable`` on the
-    same values, and its verdict equals ``is_independent`` bit for bit.
+    ``joins(mask, cands, verdicts)`` walks ``mask``'s members once, returns
+    0 if two of them clash, and puts them in ascending transmitter order
+    (link order when the ids follow it, else sorted once by transmitter
+    rank).  A candidate c without a stored verdict is refused if it
+    clashes with a member.  Otherwise c is put in its place in that order,
+    and at each receiver of the set the set's gains are summed in that
+    order, as ``sic_decodable`` sums the in-range ones; adding ``0.0`` to a
+    nonnegative float returns it unchanged, so the sums agree bit for bit.  A receiver's decode stages are scanned only
+    when another link of the set is decoded before its own (a bitmask
+    test); otherwise its own stage is the only one.  So each verdict makes
+    the same float comparisons as ``sic_decodable`` on the same values,
+    and equals ``is_independent`` bit for bit.
     """
     _check_channel(topology, channel)
     phy = topology.phy
@@ -233,7 +271,11 @@ def _compile(topology: NetworkTopology,
     at_rx = channel.g[np.ix_([k.tx for k in tx_order],
                              [l.rx for l in links])].T.tolist()
     radius, hypot = phy.radius, math.hypot
-    clash, rows, before, stages, own = [], [], [], [], []
+    # per link: the links sharing a node with it, the links whose
+    # transmitters its receiver hears, and at its receiver the gain row,
+    # the bitmask of the links decoded before its own, its decode stages
+    # and its own gain and threshold
+    clash, heard_by, receivers = [], [], []
     for l, gains in zip(links, at_rx):
         clash.append((at_node[l.tx] | at_node[l.rx]) & ~(1 << l.id))
         x, y = xs[l.rx], ys[l.rx]
@@ -243,46 +285,81 @@ def _compile(topology: NetworkTopology,
             if hypot(tx_x - x, tx_y - y) <= radius:  # topology.in_range
                 row[j] = g
                 heard.append(j)
-        rows.append(row)
+        heard_by.append(heard)
         # a stable sort, reversed or not, keeps transmitter-id order among
         # equal gains
         order = sorted(heard, key=row.__getitem__, reverse=True)
         up_to = order[:order.index(l.id) + 1]
-        stages.append(tuple((1 << j, row[j], betas[j]) for j in up_to))
-        before.append(sum(1 << j for j in up_to[:-1]))
-        own.append((row[l.id], betas[l.id]))
+        receivers.append((row, sum(1 << j for j in up_to[:-1]),
+                          tuple((1 << j, row[j], betas[j]) for j in up_to),
+                          row[l.id], betas[l.id]))
 
-    def independent(mask: int) -> bool:
+    def joins(mask: int, cands: int, verdicts: dict) -> int:
         members = []
         rest = mask
         while rest:
             low = rest & -rest
             i = low.bit_length() - 1
             if mask & clash[i]:
-                return False
+                return 0
             members.append(i)
             rest ^= low
-        summed = members if in_tx_order else sorted(members,
-                                                     key=rank.__getitem__)
-        for i in members:
-            row = rows[i]
-            nu = noise_plus_far
-            for j in summed:
-                nu += row[j]
-            if mask & before[i]:
-                for bit, g, beta in stages[i]:
-                    if mask & bit:
-                        if g < beta * (nu - g):
-                            return False
-                        nu -= cancel * g
-            else:
-                g, beta = own[i]
-                if g < beta * (nu - g):
-                    return False
-        return True
+        if in_tx_order:
+            summed = members
+        else:
+            summed = sorted(members, key=rank.__getitem__)
+            ranks = [rank[j] for j in summed]
+        out = 0
+        rest = cands & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            trial = mask | low
+            ok = verdicts.get(trial)
+            if ok is None:
+                c = low.bit_length() - 1
+                if mask & clash[c]:
+                    ok = verdicts[trial] = False
+                    continue
+                # the set in transmitter order, c in its place
+                p = ((mask & low - 1).bit_count() if in_tx_order
+                     else bisect_left(ranks, rank[c]))
+                order = summed.copy()
+                order.insert(p, c)
+                # every receiver of the set decodes: the loop ends without
+                # a break
+                ok = False
+                for i in order:
+                    row, earlier, steps, g, beta = receivers[i]
+                    nu = noise_plus_far
+                    for j in order:
+                        nu += row[j]
+                    if trial & earlier:
+                        for bit, g, beta in steps:
+                            if trial & bit:
+                                if g < beta * (nu - g):
+                                    break
+                                nu -= cancel * g
+                        else:
+                            continue
+                        break
+                    if g < beta * (nu - g):
+                        break
+                else:
+                    ok = True
+                verdicts[trial] = ok
+            if ok:
+                out |= low
+        return out
 
-    solo = sum(1 << l.id for l in links if independent(1 << l.id))
-    return CompiledNetwork(topology, independent, solo)
+    def independent(mask: int) -> bool:
+        if not mask:
+            return True
+        top = 1 << mask.bit_length() - 1
+        return joins(mask ^ top, top, {}) != 0
+
+    solo = joins(0, (1 << len(links)) - 1, {})
+    return CompiledNetwork(topology, independent, joins, solo, heard_by)
 
 
 def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix):

@@ -11,15 +11,18 @@ does not hear the candidate sees no change, so this is independence in
 every range regime, and the chain is the product-form chain of Boorstyn et
 al., "Throughput analysis in multihop CSMA packet radio networks" (IEEE
 Trans. Commun., 1987), which hidden terminals break if the transmitter
-judges only the links it hears.  Sets are judged by the oracle of
+judges only the links it hears.  Sets are judged by
 ``setspace.compile_network``, which a scenario's topology and channel
-compile once for the loader and the simulator alike.  The
-verdicts for one active set are cached as a bitmask, its frontier, and
-each start or end of a transmission suspends or resumes only the links
-whose verdict it flipped.  The event queue is one due time per link; the
-earliest goes next, the lowest link id among equal ones.  The run is
-deterministic given the seed, with one random stream per link, so the
-order of simultaneous events changes no draw.  Each link draws its
+compile once for the loader and the simulator alike.  The verdicts for
+one active set are cached as a bitmask, its frontier, and each start or
+end of a transmission suspends or resumes only the links whose verdict it
+flipped.  A new frontier is judged in one ``joins`` call, over only the
+links the event can affect: under the veto rule a link that does not
+interact with the one that started or ended keeps its verdict exactly.
+The event queue is one due time per link; the earliest goes next, the
+lowest link id among equal ones.  The run is deterministic given the
+seed, with one random stream per link, so the order of simultaneous
+events changes no draw.  Each link draws its
 backoffs and holding times from a buffer of standard exponentials
 refilled from its own stream, scaled by 1/lambda or 1/mu; the values are
 bit-identical to scalar ``Generator.exponential`` draws.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import RateParams
+from .ctmc import RateParams, mean_times
 # perfbench/run.py wraps ``sim.check_all_feasible``, which is not called here.
 from .localstate import check_all_feasible  # noqa: F401
 from .phy import ChannelMatrix, NetworkTopology, PhyConfig, real_array
@@ -78,12 +81,10 @@ def _backoff_scale(lam: np.ndarray) -> list:
     A rate must be finite and positive, and so must its mean backoff: an
     ``exp(r)`` that overflows would give zero timers, and one that
     underflows, or lies below about 5.6e-309, infinite ones.
+    ``RateParams`` makes the same check, ``ctmc.mean_times``, on the mean
+    holding times ``1 / mu``.
     """
-    with np.errstate(divide="ignore", over="ignore"):
-        scale = 1.0 / lam
-    if not np.all(np.isfinite(lam) & (lam > 0) & np.isfinite(scale)):
-        raise ValueError("rates must be finite and positive, one per link")
-    return scale.tolist()
+    return mean_times(lam, "rates must be finite and positive, one per link")
 
 
 def _finite(value) -> bool:
@@ -148,17 +149,22 @@ class Simulator:
     family it equals ``FeasibleFamily.frontier``.
 
     Two caches, emptied together when one reaches ``_CACHE_CAP`` entries,
-    keep the verdicts: ``_indep_cache`` the oracle's verdict per mask and
+    keep the verdicts: ``_indep_cache`` the verdict per mask and
     ``_frontier_cache`` the frontier per active set.  On a frontier miss
-    the new frontier is bounded by ``counting`` and by the pair rows
+    the new frontier is bounded by ``counting``, by the pair rows
     ``_pairs[j]``, the frontier of ``{j}`` judged the first time a miss
-    needs it, and only the links between the bounds are judged.
+    needs it, and by the compiled network's interaction masks: when c
+    starts, the counting links outside ``interacts[c]`` keep counting
+    unjudged, and when l ends, only links inside ``interacts[l]`` may
+    resume.  The links left between the bounds are judged by one
+    ``joins`` call, which reads and fills ``_indep_cache``.
 
     Each event checks that an expiring timer was counting, that a started
-    set without a stored frontier is independent (every stored frontier
-    belongs to a set proven independent), and that the counted backoff
-    equals its draw to 1e-6.  A failed check raises ``ProtocolError`` with
-    ``now`` at the event.  The PHY is ``topology.phy``; a ``phy`` given
+    set without a stored frontier is independent, by its cached verdict
+    or the compiled ``independent`` (every stored frontier belongs to a
+    set proven independent), and that the counted backoff equals its draw
+    to 1e-6.  A failed check raises ``ProtocolError`` with ``now`` at the
+    event.  The PHY is ``topology.phy``; a ``phy`` given
     must equal it.
     """
 
@@ -173,6 +179,7 @@ class Simulator:
             raise ValueError("params must hold one rate per link")
         with np.errstate(over="ignore"):  # an infinite exp(r) is refused
             self._backoff_scale = _backoff_scale(params.lam)
+        # finite: ``RateParams`` refuses a mu without a finite mean
         self._hold_scale = (1.0 / params.mu).tolist()
         _check_seed(seed)
         if not _finite(warmup) or warmup < 0:
@@ -181,8 +188,7 @@ class Simulator:
 
         self._all = (1 << k) - 1
         self._pairs = [None] * k
-        network = compile_network(topology, channel)
-        self._oracle = network.independent
+        network = self._network = compile_network(topology, channel)
         # every timer counts from time 0, so every link must run alone
         unfit = self._all & ~network.solo
         if unfit:
@@ -233,23 +239,16 @@ class Simulator:
 
         ``front`` and ``maybe`` bound the answer: the links in ``front`` are
         taken as in, those outside ``maybe`` as out, and only the rest are
-        judged, each through ``_indep_cache``.  Unbounded, every link outside
-        ``mask`` is judged.  The frontier is stored in ``_frontier_cache``
-        after both caches are emptied if either has reached ``_CACHE_CAP``
-        entries; they are emptied in place, as ``advance`` holds their
-        bound ``get``.
+        judged, by one ``joins`` call through ``_indep_cache``.  Unbounded,
+        every link outside ``mask`` is judged.  The frontier is stored in
+        ``_frontier_cache`` after both caches are emptied if either has
+        reached ``_CACHE_CAP`` entries; they are emptied in place, as
+        ``advance`` holds their bound ``get``.
         """
         if maybe is None:
             maybe = self._all
-        verdicts, oracle = self._indep_cache, self._oracle
-        for i in bit_ids(maybe & ~(front | mask)):
-            trial = mask | 1 << i
-            ok = verdicts.get(trial)
-            if ok is None:
-                ok = verdicts[trial] = oracle(trial)
-            if ok:
-                front |= 1 << i
-        fronts = self._frontier_cache
+        verdicts, fronts = self._indep_cache, self._frontier_cache
+        front |= self._network.joins(mask, maybe & ~front, verdicts)
         if len(fronts) >= _CACHE_CAP or len(verdicts) >= _CACHE_CAP:
             verdicts.clear()
             fronts.clear()
@@ -327,9 +326,13 @@ class Simulator:
                     resumed[link] = now
                     front = frontier_of(active)
                     if front is None:
-                        # it holds the old frontier plus the ended link
+                        # it holds the old frontier plus the ended link,
+                        # and a link that does not interact with the ended
+                        # one keeps its verdict
                         front = self._frontier(
-                            active, counting | bit, self._pair_bound(active))
+                            active, counting | bit,
+                            self._network.interacts[link]
+                            & self._pair_bound(active))
                     started = front & ~(counting | bit)
                     while started:
                         low = started & -started
@@ -348,15 +351,18 @@ class Simulator:
                     if front is None:
                         # only a set proven independent has a stored
                         # frontier; the new one lies within the old one
-                        # and the link's pair row
+                        # and the link's pair row, and holds the old links
+                        # that do not interact with the started one
                         ok = independent_of(active)
                         if ok is None:
-                            ok = self._oracle(active)
+                            ok = self._network.independent(active)
                         if not ok:
                             raise ProtocolError(
                                 "active set left the independent-set family")
                         front = self._frontier(
-                            active, 0, counting & self._pair_bound(bit))
+                            active,
+                            counting & ~self._network.interacts[link],
+                            counting & self._pair_bound(bit))
                     counted[link] += now - resumed[link]
                     if abs(counted[link] - drawn[link]) > 1e-6:
                         raise ProtocolError("backoff bookkeeping lost time "

@@ -1,6 +1,7 @@
 """Steady-state distribution of the set-valued jump process."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,23 @@ class TestRateParams:
     def test_strings_and_bools_rejected(self, r, mu):
         with pytest.raises(ValueError, match="must be real numbers"):
             RateParams(r=r, mu=mu)
+
+    @pytest.mark.parametrize("mu", [1.0e-320, 5.0e-324, 5.0e-309])
+    def test_mu_without_finite_mean_refused(self, mu):
+        """A positive mu below about 5.6e-309 has an infinite mean holding
+        time 1 / mu, which gave an infinite first holding time; it is
+        refused, and numpy warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="service rates must have "
+                                                 "finite mean holding times"):
+                RateParams(r=np.zeros(2), mu=[1.0, mu])
+
+    def test_smallest_mu_with_finite_mean_accepted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            params = RateParams(r=np.zeros(2), mu=[1.0, 1.0e-308])
+        assert np.all(np.isfinite(1.0 / params.mu))
 
     def test_real_numbers_accepted(self):
         params = RateParams(r=[0, np.float64(0.5), np.int64(1)],

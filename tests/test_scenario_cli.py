@@ -4,6 +4,7 @@ import copy
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -590,6 +591,26 @@ class TestCli:
         for command in ("analyze", "adapt"):
             assert main([command, str(p)]) == 0, command
             assert capsys.readouterr().err == "", command
+
+    def test_service_rates_without_finite_mean(self, tmp_path, capsys):
+        """``mu = 1e-320`` has no finite mean holding time: every command
+        refuses the scenario with one message, and numpy warns of nothing.
+        Before, ``simulate`` warned and ran with an infinite holding time,
+        ``adapt`` failed on ``target_rates / mu`` and ``analyze`` solved
+        the chain."""
+        d = triangle_scenario_dict()
+        d["rates"] = {"mu": [1.0, 1.0e-320, 1.0]}
+        p = tmp_path / "mu.yaml"
+        p.write_text(yaml.safe_dump(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("analyze", "simulate", "capacity", "adapt"):
+                assert main([command, str(p)]) == 2, command
+                captured = capsys.readouterr()
+                assert captured.err == (
+                    "error: rates: service rates must have finite mean "
+                    "holding times 1/mu\n"), command
+                assert captured.out == "", command
 
     def test_partial_range_scenario(self, tmp_path, capsys):
         # not every node hears every other; the simulator stays inside the

@@ -315,14 +315,59 @@ def judged_masks(topo, channel, rng, n_random=200):
     return masks
 
 
+def relabelled(topo, rng):
+    """``topo`` with its node ids permuted at random, so that transmitter
+    order is not link order."""
+    perm = rng.permutation(topo.n_nodes).tolist()
+    nodes = sorted((Node(perm[n.id], n.x, n.y) for n in topo.nodes),
+                   key=lambda n: n.id)
+    links = tuple(Link(l.id, perm[l.tx], perm[l.rx]) for l in topo.links)
+    return replace(topo, nodes=tuple(nodes), links=links)
+
+
+def reversed_links(topo):
+    """``topo`` with its link ids in reverse order."""
+    return replace(topo, links=tuple(Link(j, l.tx, l.rx) for j, l in
+                                     enumerate(reversed(topo.links))))
+
+
+def has_deaf_pair(topo):
+    """Whether some receiver does not hear some link's transmitter."""
+    return not all(topo.in_range(l.tx, m.rx) for l in topo.links
+                   for m in topo.links)
+
+
+def packed_topology(rng, k, radius):
+    """``k`` links, the first ``k // 2 + 1`` packed into a disk of radius
+    0.4, so that their receivers see equal clamped gains, the rest spread
+    over a 12 x 12 square."""
+    nodes, links = [], []
+    for j in range(k):
+        if j <= k // 2:
+            pair = [(6.0, 6.0) + 0.4 * math.sqrt(rng.uniform())
+                    * np.array([math.cos(a), math.sin(a)])
+                    for a in rng.uniform(0.0, 2 * math.pi, size=2)]
+        else:
+            tx = rng.uniform(0.0, 12.0, size=2)
+            a = rng.uniform(0.0, 2 * math.pi)
+            pair = [tx, tx + rng.uniform(1.0, 2.0)
+                    * np.array([math.cos(a), math.sin(a)])]
+        for xy in pair:
+            nodes.append(Node(len(nodes), *map(float, xy)))
+        links.append(Link(j, 2 * j, 2 * j + 1))
+    return NetworkTopology(tuple(nodes), tuple(links),
+                           PhyConfig(noise_power=0.0, radius=radius))
+
+
 class TestCompiledNetwork:
     """``compile_network``: its solo verdicts and its oracle are
     ``is_independent``'s, and one (topology, channel) pair compiles once."""
 
-    @staticmethod
-    def assert_matches(topo, channel, masks):
-        """Solo verdicts and verdicts on ``masks`` equal is_independent's;
-        returns how many of the masks are independent."""
+    @classmethod
+    def assert_matches(cls, topo, channel, masks):
+        """Solo verdicts, verdicts on ``masks`` and ``joins`` on ``masks``
+        equal is_independent's; returns how many of the masks are
+        independent."""
         k = topo.n_links
         network = compile_network(topo, channel)
         solo = sum(1 << i for i in range(k)
@@ -333,7 +378,52 @@ class TestCompiledNetwork:
             verdict = is_independent(LinkSet(mask, k), topo, channel)
             assert network.independent(mask) is verdict, mask
             accepted += verdict
+        cls.assert_joins(topo, channel, masks)
         return accepted
+
+    @staticmethod
+    def assert_joins(topo, channel, masks):
+        """``joins`` on each mask, over every link and over a random set of
+        candidates, equals ``is_independent`` per candidate; every verdict
+        it stores is ``is_independent``'s, and a stored verdict is read,
+        not judged again.  Returns how many masks clash, how many are
+        dependent without a clash, how many are independent, and how many
+        candidates joined."""
+        k = topo.n_links
+        joins = compile_network(topo, channel).joins
+        rng = np.random.default_rng(k)
+        truth = {}
+
+        def independent(mask):
+            if mask not in truth:
+                truth[mask] = is_independent(LinkSet(mask, k), topo, channel)
+            return truth[mask]
+
+        seen = dict.fromkeys(("clash", "dependent", "independent", "joined"),
+                             0)
+        for mask in masks:
+            links = [topo.links[i] for i in bit_ids(mask)]
+            nodes = [v for l in links for v in (l.tx, l.rx)]
+            clash = len(set(nodes)) < len(nodes)
+            for cands in ((1 << k) - 1, int(rng.integers(0, 1 << k))):
+                outside = cands & ~mask
+                expected = sum(1 << c for c in bit_ids(outside)
+                               if independent(mask | 1 << c))
+                verdicts = {}
+                assert joins(mask, cands, verdicts) == expected, (mask, cands)
+                for trial, ok in verdicts.items():
+                    added = trial & ~mask
+                    assert trial & mask == mask and added & outside == added
+                    assert added & added - 1 == 0 and added
+                    assert ok is independent(trial), trial
+                seen["joined"] += bin(expected).count("1")
+                if outside and not clash:
+                    low = outside & -outside
+                    planted = {mask | low: not independent(mask | low)}
+                    assert joins(mask, cands, planted) == expected ^ low
+            seen["clash" if clash else "independent" if independent(mask)
+                 else "dependent"] += 1
+        return seen
 
     @pytest.mark.parametrize("path", COMMITTED_SCENARIOS,
                              ids=lambda p: str(p.relative_to(ROOT)))
@@ -408,6 +498,149 @@ class TestCompiledNetwork:
         if z == 1.0:
             assert verdicts == {(0.5, 2.0): True, (2.0, 0.5): False,
                                 (0.5, 0.6): True}
+
+    @pytest.mark.parametrize("geometry", [{}, {"radius": 6.0, "area": 20.0}],
+                             ids=["full-range", "partial-range"])
+    def test_joins_random_topologies(self, geometry):
+        """All in range and partial range, uniform and per-link thresholds,
+        with extra links that reuse nodes, so that masks clash inside, fail
+        at a receiver or pass; in each, link order, node ids permuted at
+        random, or link order reversed against transmitter order."""
+        rng = np.random.default_rng(73)
+        seen = dict.fromkeys(("clash", "dependent", "independent", "joined"),
+                             0)
+        deaf = 0
+        for k in (3, 7, 12):
+            for z in (0.0, 1.0):
+                base = with_shared_nodes(
+                    random_topology(rng, k, cancel_fraction=z, **geometry),
+                    rng, extra=k // 3 + 1)
+                width = base.n_links
+                for phy in (base.phy, replace(base.phy, sinr_threshold=tuple(
+                        rng.uniform(0.5, 3.0, size=width)))):
+                    for order in (base, relabelled(base, rng),
+                                  reversed_links(base)):
+                        topo = replace(order, phy=phy)
+                        channel = build_channel_matrix(topo)
+                        masks = judged_masks(topo, channel, rng, 40)
+                        found = self.assert_joins(topo, channel, masks)
+                        for key, n in found.items():
+                            seen[key] += n
+                        deaf += has_deaf_pair(topo)
+        assert all(seen.values()), seen
+        assert bool(deaf) == bool(geometry)
+
+    @pytest.mark.parametrize("radius", [100.0, 4.0],
+                             ids=["full-range", "partial-range"])
+    def test_joins_gain_ties(self, radius):
+        """Nodes packed closer than ``D_MIN`` see equal clamped gains, so
+        the decode order among them falls to the transmitter id; the node
+        ids are permuted, so that transmitter order is not link order."""
+        rng = np.random.default_rng(79)
+        seen = dict.fromkeys(("clash", "dependent", "independent", "joined"),
+                             0)
+        for k in (6, 9):
+            base = packed_topology(rng, k, radius)
+            # links 0 and 1 are packed: each receiver hears both at once
+            g = build_channel_matrix(base).g
+            assert g[0, 3] == g[2, 1] == D_MIN ** -base.phy.path_loss_exponent
+            for z, beta in ((0.0, 0.4), (1.0, 0.4), (1.0, 1.5)):
+                phy = replace(base.phy, cancel_fraction=z, sinr_threshold=beta)
+                for topo in (replace(base, phy=phy),
+                             relabelled(replace(base, phy=phy), rng)):
+                    found = self.assert_joins(
+                        topo, build_channel_matrix(topo), range(1 << k))
+                    for key, n in found.items():
+                        seen[key] += n
+        assert seen["independent"] and seen["dependent"] and seen["joined"]
+
+    @pytest.mark.parametrize("tx", [(0, 2, 4), (4, 2, 0)],
+                             ids=["link-order", "reversed"])
+    def test_joins_sum_in_transmitter_order(self, tx):
+        """Float addition does not associate: at the receiver of the link
+        that transmits from node 0 the sum in transmitter order starts with
+        its own gain 1.0 and rounds the two 2**-53 interferers away, so its
+        2**60 threshold passes; in any other order they remain and refuse
+        the set.  Each link in turn is the candidate, so it is summed in
+        each place."""
+        tiny = 2.0 ** -53
+        nodes = tuple(Node(v, float(v), 0.0) for v in range(6))
+        links = tuple(Link(i, t, t + 1) for i, t in enumerate(tx))
+        betas = tuple(2.0 ** 60 if t == 0 else 1.0 for t in tx)
+        topo = NetworkTopology(nodes, links, PhyConfig(
+            noise_power=0.0, radius=100.0, sinr_threshold=betas))
+        g = np.full((6, 6), tiny)
+        for l in links:
+            g[l.tx, l.rx] = g[l.rx, l.tx] = 1.0
+        channel = ChannelMatrix(g)
+        assert is_independent(LinkSet(0b111, 3), topo, channel)
+        joins = compile_network(topo, channel).joins
+        for c in range(3):
+            assert joins(0b111 ^ 1 << c, 1 << c, {}) == 1 << c
+        self.assert_joins(topo, channel, range(8))
+
+    @pytest.mark.parametrize("geometry", [{}, {"radius": 6.0, "area": 20.0}],
+                             ids=["full-range", "partial-range"])
+    def test_interaction_masks(self, geometry):
+        """j interacts with c when they share a node, when either one's
+        receiver hears the other's transmitter, or when some receiver hears
+        both transmitters; each link interacts with itself."""
+        rng = np.random.default_rng(89)
+        outside = 0
+        for k in (4, 9, 16):
+            topo = with_shared_nodes(random_topology(rng, k, **geometry), rng,
+                                     extra=2)
+            for t in (topo, relabelled(topo, rng)):
+                interacts = compile_network(
+                    t, build_channel_matrix(t)).interacts
+                hears = t.in_range
+                for c in t.links:
+                    expected = sum(1 << j.id for j in t.links if (
+                        {c.tx, c.rx} & {j.tx, j.rx}
+                        or hears(c.tx, j.rx) or hears(j.tx, c.rx)
+                        or any(hears(c.tx, r.rx) and hears(j.tx, r.rx)
+                               for r in t.links)))
+                    assert interacts[c.id] == expected, c.id
+                    outside += bin(expected).count("1") < t.n_links
+        assert bool(outside) == bool(geometry)
+
+    def test_verdicts_carry_outside_interaction(self):
+        """If S + c is independent and j does not interact with c, then
+        S + c + j is independent exactly when S + j is, by
+        ``is_independent``: the rule that lets a simulator keep a verdict
+        across an event.  Partial range, uniform and per-link thresholds,
+        links that share nodes, and S grown at random inside the family."""
+        rng = np.random.default_rng(97)
+        seen = {True: 0, False: 0}
+        for _ in range(16):
+            topo = with_shared_nodes(random_topology(
+                rng, int(rng.integers(8, 15)), radius=6.0, area=16.0), rng,
+                extra=2)
+            k = topo.n_links
+            if rng.uniform() < 0.5:
+                betas = tuple(rng.uniform(0.8, 3.0, size=k))
+                topo = replace(topo, phy=replace(topo.phy,
+                                                 sinr_threshold=betas))
+            channel = build_channel_matrix(topo)
+            interacts = compile_network(topo, channel).interacts
+
+            def independent(mask):
+                return is_independent(LinkSet(mask, k), topo, channel)
+
+            for _ in range(6):
+                s = 0
+                for c in rng.permutation(k).tolist():
+                    if not independent(s | 1 << c):
+                        continue
+                    for j in bit_ids(((1 << k) - 1) & ~interacts[c]
+                                     & ~s & ~(1 << c)):
+                        verdict = independent(s | 1 << j)
+                        assert independent(s | 1 << c | 1 << j) is verdict, (
+                            s, c, j)
+                        seen[verdict] += 1
+                    if rng.uniform() < 0.7:
+                        s |= 1 << c
+        assert seen[True] and seen[False], seen
 
     def test_scenario_compiles_once(self, monkeypatch):
         """``load_scenario`` and a ``Simulator`` on its topology and channel

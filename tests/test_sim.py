@@ -20,7 +20,8 @@ from csma_sic import (ChannelMatrix, NetworkTopology, Link, LinkSet, Node,
                       steady_state, warm_coeff_table)
 from csma_sic import sim as sim_module
 from csma_sic.cli import main as cli_main
-from csma_sic.setspace import ENUMERATION_CAP, bit_ids, independence_oracle
+from csma_sic.setspace import (ENUMERATION_CAP, bit_ids, compile_network,
+                               independence_oracle)
 from csma_sic.sim import ProtocolError
 from conftest import random_topology, triangle_topology
 
@@ -94,6 +95,22 @@ def per_link_thresholds(rng, topo):
     solo = all(is_independent(LinkSet.from_ids([l.id], topo.n_links), topo,
                               channel) for l in topo.links)
     return topo if solo else None
+
+
+def constant_density(n_links):
+    """A partial-range topology of ``n_links`` links at the density of
+    ``sparse_topology``'s 16 links: radius 6, area 20 * sqrt(n_links / 16)."""
+    return random_topology(np.random.default_rng(1), n_links, radius=6.0,
+                           area=20.0 * math.sqrt(n_links / 16))
+
+
+def oracle_frontier(topo, channel, mask):
+    """The links c outside ``mask`` for which ``mask`` plus c is
+    independent, judged one link at a time by the compiled oracle, with
+    none of a simulator's caches or bounds."""
+    independent = independence_oracle(topo, channel)
+    return sum(1 << c for c in range(topo.n_links)
+               if not mask >> c & 1 and independent(mask | 1 << c))
 
 
 def has_out_of_range_pair(topo):
@@ -427,8 +444,9 @@ class TestBoundedMiss:
     family is downward closed, so when link i starts, the frontier of S + i
     lies within ``counting`` and the pair row of i, the links c with {i, c}
     independent; when link i ends, the frontier of S - i holds ``counting``
-    plus i and lies within the pair rows of the members of S - i.  A miss
-    judges only the links between the two bounds."""
+    plus i and lies within the pair rows of the members of S - i.  A link
+    outside i's interaction mask keeps its verdict either way.  A miss
+    judges only the links between the bounds."""
 
     def _assert_cache_exact(self, topo, channel, seed, horizon):
         sim = Simulator(topo, channel, seed=seed)
@@ -478,6 +496,21 @@ class TestBoundedMiss:
             self._assert_cache_exact(topo, build_channel_matrix(topo), seed,
                                      horizon=20.0)
 
+    @pytest.mark.parametrize("k, horizon", [(50, 60.0), (100, 15.0)])
+    def test_partial_range_at_scale(self, k, horizon):
+        """At constant density most links lie outside a link's interaction
+        mask, so most verdicts are carried across events, not judged; every
+        cached frontier still equals the per-link verdicts."""
+        topo = constant_density(k)
+        channel = build_channel_matrix(topo)
+        sim = Simulator(topo, channel, seed=1)
+        sim.advance(horizon)
+        assert len(sim._frontier_cache) > 50
+        interacts = compile_network(topo, channel).interacts
+        assert max(bin(m).count("1") for m in interacts) < k // 2
+        for mask, front in sim._frontier_cache.items():
+            assert front == oracle_frontier(topo, channel, mask), mask
+
 
 class TestTimerState:
     """Between events the running timers are exactly the frontier of the
@@ -491,9 +524,9 @@ class TestTimerState:
         if topo.n_links <= ENUMERATION_CAP:
             frontier = enumerate_feasible(topo, channel).frontier.__getitem__
         else:
-            # unbounded, ``_frontier`` judges every link and reads no
-            # frontier cache; this simulator's verdicts are its own
-            frontier = Simulator(topo, channel)._frontier
+            # judged one link at a time, with no cache and no bound
+            def frontier(mask):
+                return oracle_frontier(topo, channel, mask)
         for t in np.arange(step, horizon + step / 2, step):
             sim.advance(float(t))
             assert sim.counting == frontier(sim.active), sim.now
@@ -534,6 +567,13 @@ class TestTimerState:
         topo = random_topology(np.random.default_rng(7), 25)
         self._step_and_check(topo, build_channel_matrix(topo), seed=3,
                              step=0.1, horizon=20.0)
+
+    @pytest.mark.parametrize("k, horizon", [(50, 60.0), (100, 30.0)])
+    def test_partial_range_at_scale(self, k, horizon):
+        """At constant density, above the enumeration cap."""
+        topo = constant_density(k)
+        self._step_and_check(topo, build_channel_matrix(topo), seed=2,
+                             step=0.1, horizon=horizon)
 
 
 class TestOneSidedStep:
