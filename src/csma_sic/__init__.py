@@ -14,8 +14,8 @@ from .localstate import (CoeffTable, MissingGainError, TxTable,
                          overhear_cts, overhear_rts, warm_coeff_table)
 from .setspace import (CompiledNetwork, EnumerationCapError, FeasibleFamily,
                        LinkSet, capacity_contains, compile_network,
-                       enumerate_feasible, eta, independence_oracle,
-                       is_independent, reachable_subfamily)
+                       enumerate_feasible, eta, is_independent,
+                       reachable_subfamily)
 from .ctmc import (RateParams, SteadyState, detailed_balance_residual,
                    expected_throughput, global_balance_residual, steady_state)
 from .sim import SimConfig, SimStats, Simulator, empirical_throughput, run

@@ -135,6 +135,8 @@ def check_feasible(tx: int, rx: int, coeffs: CoeffTable, txs: TxTable,
     stored gain identifies them as out of decode range are excluded from
     the staged decoding (their power is covered by the far-interference
     bound); per-stage semantics match :func:`csma_sic.phy.sic_decodable`.
+    The in-range gains are summed in ascending transmitter id, as
+    ``sic_decodable`` sums them, whatever order ``txs`` was filled in.
 
     ``beta_by_pair`` optionally maps an ongoing (tx, rx) pair to its link's
     SINR threshold, for networks with per-link thresholds.
@@ -149,7 +151,7 @@ def check_feasible(tx: int, rx: int, coeffs: CoeffTable, txs: TxTable,
     senders = []
     gains = []
     betas = []
-    for t, r in txs.active.items():
+    for t, r in sorted(txs.active.items()):
         g = coeffs.get(t, rx)
         if g >= thr:
             senders.append(t)

@@ -186,7 +186,9 @@ class NetworkTopology:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Symmetric matrix of pairwise channel power gains; diagonal unused."""
+    """Pairwise channel power gains, equal to their transpose bit for bit
+    (the oracle reads ``g[tx, rx]``, a node's table keeps one per pair);
+    the diagonal is unused."""
 
     g: np.ndarray
 
@@ -194,8 +196,7 @@ class ChannelMatrix:
         g = np.asarray(self.g, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("channel matrix must be square")
-        # exact symmetry, the usual case, is a cheaper test than allclose
-        if not ((g == g.T).all() or np.allclose(g, g.T)):
+        if not (g == g.T).all():
             raise ValueError("channel matrix must be symmetric")
         if np.any(g < 0):
             raise ValueError("channel gains must be nonnegative")
@@ -226,7 +227,8 @@ def sic_decodable(tx, rx, active_tx, channel: ChannelMatrix, phy: PhyConfig,
     ``active_tx`` is the set of transmitters within decode radius of ``rx``
     (the caller filters by range); ``beta_by_tx`` maps a transmitter id to
     the SINR threshold of its link.  It defaults to the uniform threshold and
-    is required when thresholds are per link.
+    is required when thresholds are per link.  The gains are summed in
+    ascending transmitter id, as ``localstate.check_feasible`` sums them.
     """
     active = sorted(active_tx)
     if tx not in active_tx:

@@ -39,7 +39,7 @@ _SEQ, _MAP = "tag:yaml.org,2002:seq", "tag:yaml.org,2002:map"
 
 _PHY_KEYS = {"tx_power", "noise_power", "sinr_threshold", "cancel_fraction",
              "radius", "far_interference", "path_loss_exponent"}
-_RATES_KEYS = {"r", "lambda", "mu"}
+_RATES_KEYS = {"r", "mu"}
 _SIM_KEYS = {"horizon", "seed", "warmup"}
 _ADAPT_KEYS = {"target_rates", "update_period", "max_updates", "step_a0",
                "step_i0"}
@@ -138,17 +138,9 @@ def parse_scenario(data: dict) -> Scenario:
 
     rates_data = data.get("rates", {})
     _require_keys("rates", rates_data, _RATES_KEYS)
-    if "r" in rates_data and "lambda" in rates_data:
-        raise ScenarioError("rates: give either 'r' or 'lambda', not both")
     try:
-        if "lambda" in rates_data:
-            lam = real_array("lambda", rates_data["lambda"])
-            if np.any(lam <= 0):
-                raise ValueError("lambda entries must be positive")
-            r = np.log(lam)
-        else:
-            r = rates_data.get("r", np.zeros(k))
-        params = RateParams(r, rates_data.get("mu"))
+        params = RateParams(rates_data.get("r", np.zeros(k)),
+                            rates_data.get("mu"))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"rates: {exc}")
     if params.r.shape != (k,):

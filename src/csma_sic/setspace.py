@@ -16,8 +16,9 @@ it, and the chain's moves are read from it.
 ``is_independent`` reads.  Its ``joins`` judges a set plus each of some
 candidate links in one pass over the set, ``independent`` is ``joins`` on
 a set's top link, and ``interacts`` holds, per link, the links whose
-verdicts its start or end can change.  The scenario loader and the
-simulator judge sets with it; enumeration still calls ``is_independent``.
+verdicts its start or end can change.  The scenario loader, the
+simulator and the tests' bitmask oracle judge sets with it; enumeration
+still calls ``is_independent``.
 """
 
 import math
@@ -152,8 +153,6 @@ def is_independent(d: LinkSet, topology: NetworkTopology,
     beta_by_tx = {l.tx: phy.beta_for(l.id) for l in links}
     for l in links:
         active = {k.tx for k in links if topology.in_range(k.tx, l.rx)}
-        if l.tx not in active:
-            return False
         if not sic_decodable(l.tx, l.rx, active, channel, phy, beta_by_tx):
             return False
     return True
@@ -360,11 +359,6 @@ def _compile(topology: NetworkTopology,
 
     solo = joins(0, (1 << len(links)) - 1, {})
     return CompiledNetwork(topology, independent, joins, solo, heard_by)
-
-
-def independence_oracle(topology: NetworkTopology, channel: ChannelMatrix):
-    """``is_independent`` as a test on a bitmask: the compiled network's."""
-    return compile_network(topology, channel).independent
 
 
 def eta(bits: int, family: FeasibleFamily) -> tuple:

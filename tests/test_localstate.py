@@ -1,12 +1,16 @@
 """Local tables, overhearing updates, and the distributed feasibility check."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from csma_sic import (CoeffTable, MissingGainError, PhyConfig, TxTable,
+from csma_sic import (ChannelMatrix, CoeffTable, MissingGainError,
+                      NetworkTopology, PhyConfig, TxTable,
                       build_channel_matrix, check_all_feasible, check_feasible,
-                      is_independent, LinkSet, overhear_ack, overhear_cts,
-                      overhear_rts, sic_decodable, warm_coeff_table)
+                      compile_network, is_independent, LinkSet, overhear_ack,
+                      overhear_cts, overhear_rts, sic_decodable,
+                      warm_coeff_table)
 from conftest import gain_matrix, random_topology
 
 
@@ -195,3 +199,33 @@ class TestLocalGlobalEquivalence:
                                   channel)
             assert local == glob
             checked += 1
+
+    def test_table_sums_in_transmitter_order(self):
+        """At link 0's receiver the two interferers are each half an ulp of
+        its own gain G: summed in transmitter order, G first, they round
+        away and the 2**60 threshold is met; summed before G they leave one
+        ulp, and it is missed.  The table check must sum as the oracle does,
+        whatever order its table was filled in."""
+        big = 2.0 ** 40
+        tiny = big * 2.0 ** -53
+        nodes = tuple((v, float(v), 0.0) for v in range(6))
+        links = ((0, 0, 1), (1, 2, 3), (2, 4, 5))
+        phy = PhyConfig(noise_power=0.0, radius=100.0,
+                        sinr_threshold=(2.0 ** 60, 1.0, 1.0))
+        topo = NetworkTopology(nodes, links, phy)
+        g = np.full((6, 6), tiny)
+        for _, tx, rx in links:
+            g[tx, rx] = g[rx, tx] = big
+        channel = ChannelMatrix(g)
+        assert (big + tiny) + tiny == big < (tiny + tiny) + big
+        betas = {(tx, rx): phy.beta_for(i) for i, tx, rx in links}
+        assert is_independent(LinkSet(0b111, 3), topo, channel)
+        assert compile_network(topo, channel).independent(0b111)
+        at_rx = warm_coeff_table(topo, channel, 1)
+        for order in permutations(links):
+            txs = TxTable(1, {tx: rx for _, tx, rx in order})
+            assert check_feasible(0, 1, at_rx, txs, phy, betas), order
+        at_tx = warm_coeff_table(topo, channel, 0)
+        for order in permutations(links[1:]):
+            txs = TxTable(0, {tx: rx for _, tx, rx in order})
+            assert check_all_feasible(0, 1, at_tx, txs, phy, betas), order

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csma_sic import (NetworkTopology, PhyConfig, build_channel_matrix,
-                      sic_decodable)
+from csma_sic import (ChannelMatrix, NetworkTopology, PhyConfig,
+                      build_channel_matrix, sic_decodable)
 from conftest import gain_matrix
 
 
@@ -32,9 +32,18 @@ class TestChannelMatrix:
     def test_symmetric_zero_diagonal(self):
         topo = two_node_topology(3.0)
         ch = build_channel_matrix(topo)
-        assert np.allclose(ch.g, ch.g.T)
+        assert (ch.g == ch.g.T).all()
         assert np.all(np.diag(ch.g) == 0.0)
 
+    def test_one_ulp_asymmetry_refused(self):
+        """The oracle reads ``g[tx, rx]`` and a coefficient table keeps one
+        gain per unordered pair, so a matrix one ulp off its transpose
+        would have them judge one set on different gains."""
+        g = np.full((4, 4), 0.1)
+        g[2, 1] = 0.5
+        g[1, 2] = np.nextafter(0.5, 1.0)
+        with pytest.raises(ValueError, match="must be symmetric"):
+            ChannelMatrix(g)
 
     def test_no_nodes(self):
         # np.array([]) has shape (0,), which cannot be indexed as (n, 2)

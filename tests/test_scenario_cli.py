@@ -85,18 +85,14 @@ class TestParsing:
         assert scn2.raw == scn.raw
         assert dump_scenario(scn2) == text
 
-    def test_lambda_alias(self):
-        d = triangle_scenario_dict()
-        d["rates"] = {"lambda": [1.0, 2.0, 3.0]}
-        scn = parse_scenario(d)
-        assert scn.params.lam == pytest.approx([1.0, 2.0, 3.0])
-
     def test_unknown_keys_rejected_everywhere(self):
         base = triangle_scenario_dict()
         bad_edits = [
             ("simulator", {}, None),
             ("phy", None, ("bandwidth", 1.0)),
             ("rates", None, ("gamma", [1, 2, 3])),
+            # rates are given as exponents r alone: lambda = exp(r) is no key
+            ("rates", None, ("lambda", [1, 2, 3])),
             ("sim", None, ("duration", 10)),
             ("adapt", None, ("momentum", 0.9)),
             ("adapt", None, ("arrivals", "poisson")),
@@ -111,12 +107,6 @@ class TestParsing:
                 d[key][insert[0]] = insert[1]
             with pytest.raises(ScenarioError):
                 parse_scenario(d)
-
-    def test_mutually_exclusive_rates(self):
-        d = triangle_scenario_dict()
-        d["rates"] = {"r": [0, 0, 0], "lambda": [1, 1, 1]}
-        with pytest.raises(ScenarioError):
-            parse_scenario(d)
 
     def test_wrong_length_vectors(self):
         for section, value in [
@@ -643,8 +633,8 @@ class TestCli:
         ("capacity", {}),
         ("capacity", {"x": "abc"}),
         ("rates", {"r": "abc"}),
-        ("rates", {"lambda": "abc"}),
-        ("rates", {"lambda": [1.0, "2", 1.0]}),
+        ("rates", {"mu": "abc"}),
+        ("rates", {"r": [0.0, 0.0]}),
     ])
     @pytest.mark.parametrize("command", ["analyze", "simulate", "capacity",
                                          "adapt"])

@@ -14,8 +14,7 @@ from csma_sic import (ChannelMatrix, EnumerationCapError, FeasibleFamily,
                       Link, LinkSet, NetworkTopology, Node, PhyConfig,
                       Simulator, build_channel_matrix, capacity_contains,
                       compile_network, enumerate_feasible, eta,
-                      independence_oracle, is_independent, load_scenario,
-                      reachable_subfamily)
+                      is_independent, load_scenario, reachable_subfamily)
 from csma_sic import setspace
 from csma_sic.setspace import bit_ids
 from csma_sic.phy import D_MIN
@@ -171,7 +170,7 @@ class TestIndependenceOracle:
             ):
                 topo = replace(base, phy=phy)
                 channel = build_channel_matrix(topo)
-                oracle = independence_oracle(topo, channel)
+                oracle = compile_network(topo, channel).independent
                 pairs = [1 << i | 1 << j for i in range(width)
                          for j in range(i, width)]
                 dense = [int(rng.integers(0, 1 << width)) for _ in range(100)]
@@ -198,7 +197,7 @@ class TestIndependenceOracle:
     def _every_mask(topo, channel):
         """Assert the oracle's verdict on all 2^K masks; count the sets of
         two or more links it accepts and refuses."""
-        oracle = independence_oracle(topo, channel)
+        oracle = compile_network(topo, channel).independent
         seen = {True: 0, False: 0}
         for mask in range(1 << topo.n_links):
             verdict = is_independent(LinkSet(mask, topo.n_links), topo,
@@ -294,7 +293,7 @@ class TestIndependenceOracle:
         channel = ChannelMatrix(g)
         assert (1.0 + tiny) + tiny == 1.0 < (tiny + tiny) + 1.0
         assert is_independent(LinkSet(0b111, 3), topo, channel)
-        assert independence_oracle(topo, channel)(0b111)
+        assert compile_network(topo, channel).independent(0b111)
 
 
 def judged_masks(topo, channel, rng, n_random=200):
@@ -654,8 +653,7 @@ class TestCompiledNetwork:
         assert compiled == [scn.channel]
         Simulator(scn.topology, scn.channel, phy=scn.topology.phy,
                   params=scn.sim.params, seed=1).advance(50.0)
-        assert independence_oracle(scn.topology, scn.channel) is (
-            compile_network(scn.topology, scn.channel).independent)
+        assert compile_network(scn.topology, scn.channel).independent(0b1)
         assert compiled == [scn.channel]
         channel = build_channel_matrix(scn.topology)
         Simulator(scn.topology, channel, seed=1).advance(50.0)
@@ -692,7 +690,7 @@ class TestChannelShape:
         with pytest.raises(ValueError, match="n_nodes x n_nodes"):
             is_independent(LinkSet(0b1, 3), topo, channel)
         with pytest.raises(ValueError, match="n_nodes x n_nodes"):
-            independence_oracle(topo, channel)
+            compile_network(topo, channel)
         with pytest.raises(ValueError, match="n_nodes x n_nodes"):
             enumerate_feasible(topo, channel)
 

@@ -20,8 +20,7 @@ from csma_sic import (ChannelMatrix, NetworkTopology, Link, LinkSet, Node,
                       steady_state, warm_coeff_table)
 from csma_sic import sim as sim_module
 from csma_sic.cli import main as cli_main
-from csma_sic.setspace import (ENUMERATION_CAP, bit_ids, compile_network,
-                               independence_oracle)
+from csma_sic.setspace import ENUMERATION_CAP, bit_ids, compile_network
 from csma_sic.sim import ProtocolError
 from conftest import random_topology, triangle_topology
 
@@ -108,7 +107,7 @@ def oracle_frontier(topo, channel, mask):
     """The links c outside ``mask`` for which ``mask`` plus c is
     independent, judged one link at a time by the compiled oracle, with
     none of a simulator's caches or bounds."""
-    independent = independence_oracle(topo, channel)
+    independent = compile_network(topo, channel).independent
     return sum(1 << c for c in range(topo.n_links)
                if not mask >> c & 1 and independent(mask | 1 << c))
 
@@ -647,7 +646,7 @@ class TestPairRows:
     def test_dense_k25_against_oracle(self):
         scn = load_scenario(PERFBENCH_SCENARIOS / "dense-k25.yaml")
         topo = scn.topology
-        oracle = independence_oracle(topo, scn.channel)
+        oracle = compile_network(topo, scn.channel).independent
         sim = Simulator(topo, scn.channel, seed=1)
         sim.advance(scn.sim.horizon)
         k = topo.n_links
@@ -797,7 +796,7 @@ class TestSparseRange:
         sim = Simulator(topo, channel, seed=seed)
         sim.advance(200.0)
         assert sim.now == 200.0
-        oracle = independence_oracle(topo, channel)
+        oracle = compile_network(topo, channel).independent
         assert len(sim.occupancy) > 1
         assert all(oracle(mask) for mask in sim.occupancy)
 
