@@ -2,7 +2,9 @@
 
 Each command reads a scenario file, runs the corresponding engine, prints a
 human-readable summary, and optionally writes a CSV result table.  Output
-is locale-independent and byte-stable for a fixed scenario and seed.
+is locale-independent and byte-stable for a fixed scenario and seed.  Each
+number is formatted once, to 12 significant digits, for stdout and the CSV,
+and a set of links prints as its ids, ``{0,2}``.
 """
 
 import argparse
@@ -18,45 +20,53 @@ from .scenario import Scenario, ScenarioError, load_scenario
 from .setspace import EnumerationCapError, enumerate_feasible
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    return f"{float(v):.12g}"
+def _set_names(masks, width: int) -> list:
+    """Each link bitmask in ``masks`` as its set of link ids, ``{0,2}``."""
+    ids = [str(i) for i in range(width)]
+    names = []
+    for bits in masks:
+        parts = []
+        while bits:
+            low = bits & -bits
+            parts.append(ids[low.bit_length() - 1])
+            bits ^= low
+        names.append("{" + ",".join(parts) + "}")
+    return names
 
 
-def _name(bits: int, width: int) -> str:
-    """A link bitmask printed as its set of link ids, ``{0,2}``."""
-    return str(setspace.LinkSet(bits, width))
+def _rows(quantity: str, idents, ana, emp=None) -> list:
+    """CSV rows of one quantity, each float formatted once.  A None value,
+    or a difference with one, is an empty cell; ``emp`` None is all None."""
+    return [(quantity, i, "" if a is None else f"{a:.12g}",
+             "" if e is None else f"{e:.12g}",
+             "" if a is None or e is None else f"{abs(a - e):.12g}")
+            for i, a, e in zip(idents, ana, emp or [None] * len(ana))]
 
 
-def _write_table(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["quantity", "id", "analytical", "empirical", "abs_diff"])
-        for quantity, ident, ana, emp in rows:
-            diff = None if ana is None or emp is None else abs(ana - emp)
-            w.writerow([quantity, ident, _fmt(ana), _fmt(emp), _fmt(diff)])
+def _write(lines, out, rows,
+           header=("quantity", "id", "analytical", "empirical", "abs_diff")):
+    """``lines`` to stdout in one write, then ``rows`` to the CSV ``out``."""
+    sys.stdout.write("".join(lines))
+    if out:
+        with open(out, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 def _analyze_rows(scn: Scenario):
     family = enumerate_feasible(scn.topology, scn.channel)
     q = ctmc.steady_state(family, scn.params)
     tau = q.throughput()
-    rows = [("Q", _name(bits, family.width), p, None)
-            for bits, p in zip(family.sets, q.probs.tolist())]
-    rows += [("tau", str(i), t, None) for i, t in enumerate(tau)]
+    rows = _rows("Q", _set_names(family.sets, family.width), q.probs.tolist())
+    rows += _rows("tau", map(str, range(family.width)), tau.tolist())
     return family, q, tau, rows
 
 
 def cmd_analyze(scn: Scenario, out=None) -> int:
     family, q, tau, rows = _analyze_rows(scn)
-    print(f"feasible sets: {len(family)}")
-    for _, name, p, _ in rows[:len(family)]:
-        print(f"Q{name} = {_fmt(p)}")
-    for i, t in enumerate(tau):
-        print(f"tau[{i}] = {_fmt(t)}")
-    if out:
-        _write_table(out, rows)
+    n = len(family)
+    _write([f"feasible sets: {n}\n"]
+           + [f"Q{name} = {p}\n" for _, name, p, _, _ in rows[:n]]
+           + [f"tau[{i}] = {t}\n" for _, i, t, _, _ in rows[n:]], out, rows)
     return 0
 
 
@@ -64,28 +74,22 @@ def cmd_simulate(scn: Scenario, out=None) -> int:
     stats = sim.run(scn.topology, scn.channel, scn.sim)
     emp_tau = sim.empirical_throughput(stats)
     occ = stats.occupancy_fractions()
+    k = scn.topology.n_links
     try:
         family = enumerate_feasible(scn.topology, scn.channel)
         q = ctmc.steady_state(family, scn.params)
-        tau = q.throughput()
+        tau = q.throughput().tolist()
         ana_occ = dict(zip(family.sets, q.probs.tolist()))
     except EnumerationCapError:
-        tau, ana_occ = None, {}
-
-    width = scn.topology.n_links
-    rows = []
-    for bits in sorted(set(occ) | set(ana_occ)):
-        rows.append(("occupancy", _name(bits, width), ana_occ.get(bits),
-                     occ.get(bits, 0.0)))
-    for i in range(scn.topology.n_links):
-        rows.append(("tau", str(i), None if tau is None else float(tau[i]),
-                     float(emp_tau[i])))
-    for quantity, ident, ana, emp in rows:
-        diff = "" if ana is None or emp is None else f" |diff|={_fmt(abs(ana - emp))}"
-        ana_s = "" if ana is None else f" analytical={_fmt(ana)}"
-        print(f"{quantity} {ident}:{ana_s} empirical={_fmt(emp)}{diff}")
-    if out:
-        _write_table(out, rows)
+        tau, ana_occ = [None] * k, {}
+    masks = sorted(occ.keys() | ana_occ.keys())
+    rows = _rows("occupancy", _set_names(masks, k),
+                 [ana_occ.get(bits) for bits in masks],
+                 [occ.get(bits, 0.0) for bits in masks])
+    rows += _rows("tau", map(str, range(k)), tau, emp_tau.tolist())
+    _write([f"{quantity} {ident}:{f' analytical={a}' if a else ''} "
+            f"empirical={e}{f' |diff|={d}' if d else ''}\n"
+            for quantity, ident, a, e, d in rows], out, rows)
     return 0
 
 
@@ -99,17 +103,17 @@ def cmd_capacity(scn: Scenario, x=None, out=None) -> int:
     x = np.asarray(x, dtype=float)
     family = enumerate_feasible(scn.topology, scn.channel)
     ok, alpha = setspace.capacity_contains(x, family)
-    print(f"x = [{', '.join(_fmt(v) for v in x)}]")
-    print(f"inside capacity region: {'yes' if ok else 'no'}")
-    rows = [("x", str(i), float(v), None) for i, v in enumerate(x)]
+    rows = _rows("x", map(str, range(len(x))), x.tolist())
+    lines = [f"x = [{', '.join(row[2] for row in rows)}]\n",
+             f"inside capacity region: {'yes' if ok else 'no'}\n"]
     if ok:
-        for bits, a in zip(family.sets, alpha):
-            name = _name(bits, family.width)
-            if a > 1e-12:
-                print(f"alpha{name} = {_fmt(a)}")
-            rows.append(("alpha", name, float(a), None))
-    if out:
-        _write_table(out, rows)
+        alpha = alpha.tolist()
+        alpha_rows = _rows("alpha", _set_names(family.sets, family.width),
+                           alpha)
+        lines += [f"alpha{row[1]} = {row[2]}\n"
+                  for a, row in zip(alpha, alpha_rows) if a > 1e-12]
+        rows += alpha_rows
+    _write(lines, out, rows)
     return 0
 
 
@@ -130,25 +134,20 @@ def cmd_adapt(scn: Scenario, out=None) -> int:
         pass
     trace = adapt_mod.adapt_run(scn.topology, scn.channel, scn.adapt,
                                 mu=scn.params.mu, seed=scn.sim.seed)
-    k = scn.topology.n_links
-    n = len(trace.times)
-    tail = max(1, n // 4)
-    mean_service = trace.tau_emp[-tail:].mean(axis=0)
-    slopes = trace.queue_slopes()
-    print(f"updates: {n}, final-quarter mean service rate: "
-          f"{[float(_fmt(v)) for v in mean_service]}")
-    print(f"virtual-queue slopes (trailing half): "
-          f"{[float(_fmt(v)) for v in slopes]}")
-    if out:
-        with open(out, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            names = ("r", "lambda", "tau", "queue")
-            w.writerow(["update", "t"]
-                       + [f"{name}_{i}" for name in names for i in range(k)])
-            series = (trace.r, trace.lambda_emp, trace.tau_emp, trace.queues)
-            for j in range(n):
-                w.writerow([str(j + 1), _fmt(trace.times[j])]
-                           + [_fmt(v) for a in series for v in a[j]])
+    k, n = scn.topology.n_links, len(trace.times)
+    tail = trace.tau_emp[-max(1, n // 4):].mean(axis=0).tolist()
+    slopes = trace.queue_slopes().tolist()
+    lines = [f"updates: {n}, final-quarter mean service rate: "
+             f"{[float(f'{v:.12g}') for v in tail]}\n"
+             f"virtual-queue slopes (trailing half): "
+             f"{[float(f'{v:.12g}') for v in slopes]}\n"]
+    table = np.hstack([trace.times[:, None], trace.r, trace.lambda_emp,
+                       trace.tau_emp, trace.queues]).tolist()
+    rows = [[str(j), *[f"{v:.12g}" for v in row]]
+            for j, row in enumerate(table, 1)]
+    _write(lines, out, rows, ["update", "t"] + [
+        f"{name}_{i}" for name in ("r", "lambda", "tau", "queue")
+        for i in range(k)])
     return 0
 
 

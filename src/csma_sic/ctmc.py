@@ -108,14 +108,21 @@ def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
     closed, so every member is reachable from the empty set by single-link
     additions, and every member carries mass.  A state's log weight sums
     the per-link weights ``r_i - log(mu_i)`` over its members in ascending
-    link order.  scipy's ``logsumexp`` is imported on the first call, not
-    with the package.
+    link order, as a left fold from 0.0: the sum of the state without its
+    top link, plus that link's weight.  (Python 3.12's ``sum`` of floats is
+    compensated, so it is not that fold.)  scipy's ``logsumexp`` is
+    imported on the first call, not with the package.
     """
     # imported here: about 48 MB and 0.5 s that K > 20 runs never use
     from scipy.special import logsumexp
 
     w = (params.r - np.log(params.mu)).tolist()
-    logw = np.array([sum(w[i] for i in bit_ids(bits)) for bits in family.sets])
+    # ascending members: a state's prefix, itself a member, comes first
+    fold = {0: 0.0}
+    for bits in family.sets[1:]:
+        top = bits.bit_length() - 1
+        fold[bits] = fold[bits ^ 1 << top] + w[top]
+    logw = np.array(list(fold.values()))
     if not np.all(np.isfinite(logw)):
         raise ValueError("non-finite state weight; |r| too large")
     return SteadyState(family, np.exp(logw - logsumexp(logw)))

@@ -134,6 +134,32 @@ class TestClosedForm:
 
 
 class TestNumericalStability:
+    def test_log_weights_are_a_left_fold(self):
+        """A state's log weight adds its links' weights ``r_i - log(mu_i)``
+        one at a time in ascending link order, from 0.0.  Python 3.12's
+        ``sum`` of floats is compensated and rounds some of these sums
+        otherwise; so does ``math.fsum``, which some states here show."""
+        from scipy.special import logsumexp
+
+        k = 6
+        fam = FeasibleFamily(tuple(range(1 << k)), k)
+        rng = np.random.default_rng(11)
+        params = RateParams(r=rng.uniform(-3, 3, size=k),
+                            mu=rng.uniform(0.2, 5.0, size=k))
+        w = (params.r - np.log(params.mu)).tolist()
+        logw = []
+        for bits in fam.sets:
+            total = 0.0
+            for i in range(k):
+                if bits >> i & 1:
+                    total += w[i]
+            logw.append(total)
+        assert any(total != math.fsum(w[i] for i in range(k) if bits >> i & 1)
+                   for bits, total in zip(fam.sets, logw))
+        logw = np.array(logw)
+        expected = np.exp(logw - logsumexp(logw))
+        assert np.array_equal(steady_state(fam, params).probs, expected)
+
     def test_extreme_rates_stay_normalized(self, triangle):
         topo, channel = triangle
         fam = enumerate_feasible(topo, channel)

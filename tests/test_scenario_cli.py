@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 import yaml
 
-from csma_sic import ScenarioError, dump_scenario, load_scenario
-from csma_sic.cli import main
+from csma_sic import LinkSet, ScenarioError, dump_scenario, load_scenario
+from csma_sic.cli import _set_names, main
 from csma_sic import scenario
 from csma_sic.scenario import _LOADER, _read_yaml, parse_scenario
 from conftest import triangle_topology
@@ -277,6 +277,18 @@ class TestYamlReader:
 
 
 class TestCli:
+    @pytest.mark.parametrize("width", [0, 1, 25, 62, 100])
+    def test_set_names_print_as_link_sets(self, width):
+        """The CLI's set names are ``str(LinkSet)``, without a LinkSet."""
+        rng = np.random.default_rng(width)
+        full = (1 << width) - 1
+        masks = [0, full] + [
+            int.from_bytes(rng.bytes(13), "little") & full
+            & int.from_bytes(rng.bytes(13), "little") for _ in range(200)]
+        names = _set_names(masks, width)
+        assert names == [str(LinkSet(bits, width)) for bits in masks]
+        assert names[0] == "{}"
+
     def test_analyze(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "a.csv"
         assert main(["analyze", str(scenario_path), "--out", str(out)]) == 0

@@ -240,25 +240,35 @@ class TestDeterminism:
         assert sa.occupancy == pytest.approx(sb.occupancy)
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestPinnedOutputs:
     """Outputs recorded at earlier commits (the K=25 trajectory while the
     simulator still decided with the table check); a refactor of the event
-    loop must reproduce them."""
+    loop or of the CLI's writer must reproduce them.  A CLI run pins the
+    sha256 of its CSV and of its stdout."""
 
     TRIANGLE_CSV_SHA256 = {
         1: "429c372be717e03bd998b53f042a25f71775e56228e0ba5310791a1103b62e12",
         2: "5ab83a27c770d7a971e555b44ba37b422727feee0a16979156a23d5563996033",
     }
+    TRIANGLE_STDOUT_SHA256 = {
+        1: "8f5020792bd0af4ddf0104fab2a896f08722045a0dca9350bb710f47707d0ddf",
+        2: "d3e9d744b132601bf87076a7dfb56d92bc7374ba238a0e59baf8849ffbe2ab63",
+    }
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_triangle_simulate_csv(self, tmp_path, seed):
+    def test_triangle_simulate_csv(self, tmp_path, capsys, seed):
         out = tmp_path / "sim.csv"
         assert cli_main(["simulate", str(TRIANGLE_YAML), "--horizon", "2e4",
                          "--seed", str(seed), "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == self.TRIANGLE_CSV_SHA256[seed]
+        assert _sha256(out.read_bytes()) == self.TRIANGLE_CSV_SHA256[seed]
+        printed = capsys.readouterr().out.encode()
+        assert _sha256(printed) == self.TRIANGLE_STDOUT_SHA256[seed]
 
-    # (scenario, command) -> CSV sha256 at seed 1, with the scenario's horizon
+    # (scenario, command) -> sha256 at seed 1, with the scenario's horizon
     PERFBENCH_CSV_SHA256 = {
         ("spread-k12", "simulate"):
             "0ca20c1c6bec328a3e17e52d6afac7bd6025d5f3525dd607827dda10e867f346",
@@ -273,16 +283,32 @@ class TestPinnedOutputs:
         ("triangle", "adapt"):
             "a1d6b722988a3fa37db31b1d3787d0984c7684535a4357ff33a1aa363896836f",
     }
+    PERFBENCH_STDOUT_SHA256 = {
+        ("spread-k12", "simulate"):
+            "95093b9cbaf57c85b3875dea7bb357e457de33f8c1df17bd2837af3291ecfb5f",
+        ("spread-k12", "adapt"):
+            "79aa9c40f23556b1ada2ba8a33186c4f09d2768b202ed1a4d087bed9e504f0be",
+        ("spread-k12", "analyze"):
+            "9c641d534ca62e7659847c137f18cf1b202da4a515e00cdd908b4128df09752a",
+        ("spread-k12", "capacity"):
+            "1ccca47ecbb9bf0034312549dc427833ec454ebfc023f0f653c18074e9c25ab5",
+        ("dense-k25", "simulate"):
+            "5c07c47121aea3e78af31e5b838032c5b5be588bee444d2d810dfc17eee2461d",
+        ("triangle", "adapt"):
+            "da3a0b6c12f58d6e3769113a21bef93456f96634f8f9f3c5af4f5c83282e5c11",
+    }
 
     @pytest.mark.parametrize("name, command", sorted(PERFBENCH_CSV_SHA256))
-    def test_perfbench_csv(self, tmp_path, name, command):
+    def test_perfbench_csv(self, tmp_path, capsys, name, command):
         out = tmp_path / "out.csv"
         assert cli_main([command, str(PERFBENCH_SCENARIOS / f"{name}.yaml"),
                          "--seed", "1", "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == self.PERFBENCH_CSV_SHA256[name, command]
+        key = name, command
+        assert _sha256(out.read_bytes()) == self.PERFBENCH_CSV_SHA256[key]
+        printed = capsys.readouterr().out.encode()
+        assert _sha256(printed) == self.PERFBENCH_STDOUT_SHA256[key]
 
-    # (scenario path from the repo root, command, seed) -> CSV sha256: the
+    # (scenario path from the repo root, command, seed) -> sha256: the
     # K > 20 adaptation path, a second dense seed and partial range
     SCENARIO_CSV_SHA256 = {
         ("perfbench/scenarios/dense-k25.yaml", "adapt", 1):
@@ -296,16 +322,30 @@ class TestPinnedOutputs:
         ("scenarios/sparse-k10.yaml", "capacity", 1):
             "9860bf8635e6f2fc77e0c43298e83492a031de1dfeaedc1f1121f4943b7f3f30",
     }
+    SCENARIO_STDOUT_SHA256 = {
+        ("perfbench/scenarios/dense-k25.yaml", "adapt", 1):
+            "fc575c357efb3e5be49736f46f30304225d11bd6e01156844479ec7891080c0f",
+        ("perfbench/scenarios/dense-k25.yaml", "simulate", 2):
+            "dff4840980ec13d7c8931ad8fc0f8a4ce02c89c09fda13dedf9412ed417bd14c",
+        ("scenarios/sparse-k10.yaml", "simulate", 1):
+            "1c10e7c9298c4a4cd071134aa37468546d49404ea080dc6d1749b209cd14be37",
+        ("scenarios/sparse-k10.yaml", "analyze", 1):
+            "2280bd213413df5f3b7e0d6200520106fb8e818967e3c5d927d3668f26679a27",
+        ("scenarios/sparse-k10.yaml", "capacity", 1):
+            "b08f44cff934751da2d92a0732b80decbdcd7bbe614a52158e1718243c5026f2",
+    }
 
     @pytest.mark.parametrize("path, command, seed", sorted(SCENARIO_CSV_SHA256))
-    def test_scenario_csv(self, tmp_path, path, command, seed):
+    def test_scenario_csv(self, tmp_path, capsys, path, command, seed):
         out = tmp_path / "out.csv"
         assert cli_main([command, str(ROOT / path), "--seed", str(seed),
                          "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == self.SCENARIO_CSV_SHA256[path, command, seed]
+        key = path, command, seed
+        assert _sha256(out.read_bytes()) == self.SCENARIO_CSV_SHA256[key]
+        printed = capsys.readouterr().out.encode()
+        assert _sha256(printed) == self.SCENARIO_STDOUT_SHA256[key]
 
-    # command -> CSV sha256 of scenarios/triangle.yaml with unequal r and mu
+    # command -> sha256 of scenarios/triangle.yaml with unequal r and mu
     # at seed 1: the committed scenarios all have r = 0 and mu = 1, so every
     # state weight there is exactly 0 and its summation order is not seen
     WEIGHTED_TRIANGLE_CSV_SHA256 = {
@@ -314,9 +354,15 @@ class TestPinnedOutputs:
         "simulate":
             "614aa6f7ce022fa920aa49dd4faef17ed7c2198d4a10db070a9e38285965f50d",
     }
+    WEIGHTED_TRIANGLE_STDOUT_SHA256 = {
+        "analyze":
+            "345e23d3d8fe7bdafdece0e4f46162f04bbb16a2cb550a2823e81309ee7e7d87",
+        "simulate":
+            "fadef776796df2276494056295f6532ab4cfdcd2eb7a54265b89f5d2138180c4",
+    }
 
     @pytest.mark.parametrize("command", sorted(WEIGHTED_TRIANGLE_CSV_SHA256))
-    def test_weighted_triangle_csv(self, tmp_path, command):
+    def test_weighted_triangle_csv(self, tmp_path, capsys, command):
         d = yaml.safe_load(TRIANGLE_YAML.read_text())
         d["rates"] = {"r": [0.5, 0.0, -0.5], "mu": [0.7, 1.3, 2.0]}
         path = tmp_path / "triangle-mu.yaml"
@@ -324,8 +370,11 @@ class TestPinnedOutputs:
         out = tmp_path / "out.csv"
         assert cli_main([command, str(path), "--seed", "1",
                          "--out", str(out)]) == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == self.WEIGHTED_TRIANGLE_CSV_SHA256[command]
+        assert (_sha256(out.read_bytes())
+                == self.WEIGHTED_TRIANGLE_CSV_SHA256[command])
+        printed = capsys.readouterr().out.encode()
+        assert (_sha256(printed)
+                == self.WEIGHTED_TRIANGLE_STDOUT_SHA256[command])
 
     def test_random_topology_trajectory(self):
         topo = random_topology(np.random.default_rng(7), 10)
