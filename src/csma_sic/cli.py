@@ -56,7 +56,8 @@ def _analyze_rows(scn: Scenario):
     family = enumerate_feasible(scn.topology, scn.channel)
     q = ctmc.steady_state(family, scn.params)
     tau = q.throughput()
-    rows = _rows("Q", _set_names(family.sets, family.width), q.probs.tolist())
+    rows = _rows("Q", _set_names(family.sets.tolist(), family.width),
+                 q.probs.tolist())
     rows += _rows("tau", map(str, range(family.width)), tau.tolist())
     return family, q, tau, rows
 
@@ -79,7 +80,7 @@ def cmd_simulate(scn: Scenario, out=None) -> int:
         family = enumerate_feasible(scn.topology, scn.channel)
         q = ctmc.steady_state(family, scn.params)
         tau = q.throughput().tolist()
-        ana_occ = dict(zip(family.sets, q.probs.tolist()))
+        ana_occ = dict(zip(family.sets.tolist(), q.probs.tolist()))
     except EnumerationCapError:
         tau, ana_occ = [None] * k, {}
     masks = sorted(occ.keys() | ana_occ.keys())
@@ -108,7 +109,8 @@ def cmd_capacity(scn: Scenario, x=None, out=None) -> int:
              f"inside capacity region: {'yes' if ok else 'no'}\n"]
     if ok:
         alpha = alpha.tolist()
-        alpha_rows = _rows("alpha", _set_names(family.sets, family.width),
+        alpha_rows = _rows("alpha",
+                           _set_names(family.sets.tolist(), family.width),
                            alpha)
         lines += [f"alpha{row[1]} = {row[2]}\n"
                   for a, row in zip(alpha, alpha_rows) if a > 1e-12]

@@ -5,7 +5,13 @@ augmented set stays independent; an active link completes at rate mu_i.
 The chain is reversible with a product-form stationary law: the weight of
 a state is the product of lambda_i / mu_i over its active links.  The
 states are the family's int bitmasks, and the law is an array aligned with
-them.
+them.  Each step over the states is a fixed number of array operations on
+the family's (K, m) link matrix, whatever K and m are.  The log weights
+and the throughput are left folds from 0.0 in the order a loop over links
+and sets would add them (``cumsum`` along the link axis and along the set
+axis), where each absent link adds an exact ``+0.0``; so the law and the
+throughput are bit for bit those of that loop.  The balance residuals are
+diagnostics and sum in numpy's order.
 """
 
 import math
@@ -16,8 +22,7 @@ import numpy as np
 from .phy import real_array
 # ``eta`` and ``reachable_subfamily`` are not called here; perfbench/run.py
 # wraps ``ctmc.eta`` and ``ctmc.reachable_subfamily`` to count calls.
-from .setspace import (FeasibleFamily, bit_ids, eta,  # noqa: F401
-                       reachable_subfamily)
+from .setspace import FeasibleFamily, eta, reachable_subfamily  # noqa: F401
 
 
 def mean_times(rates: np.ndarray, message: str) -> list:
@@ -93,12 +98,33 @@ class SteadyState:
             raise ValueError("negative probability")
 
     def throughput(self) -> np.ndarray:
-        """Per-link stationary activity probability (long-run throughput)."""
-        tau = [0.0] * self.family.width
-        for bits, p in zip(self.family.sets, self.probs.tolist()):
-            for i in bit_ids(bits):
-                tau[i] += p
-        return np.array(tau)
+        """Per-link stationary activity probability (long-run throughput).
+
+        Link i's entry adds the probabilities of the members holding it in
+        ascending member order, a left fold from 0.0 over the whole family
+        in which each member without i adds an exact ``+0.0``.
+        """
+        held = np.where(self.family.links(), self.probs, 0.0)
+        return _left_fold(held, axis=1)
+
+
+def _left_fold(terms: np.ndarray, axis: int) -> np.ndarray:
+    """``terms`` summed along ``axis``, each sum a left fold in index order.
+
+    ``cumsum`` adds one term at a time, and ``x + 0.0`` is ``x``, so the
+    last partial sum is the scalar fold from 0.0 bit for bit (up to the
+    sign of a zero sum).  An empty axis sums to zeros.
+    """
+    if not terms.shape[axis]:
+        return terms.sum(axis=axis)
+    return terms.cumsum(axis=axis).take(-1, axis=axis)
+
+
+def _check_rates(family: FeasibleFamily, params: RateParams) -> None:
+    """Refuse rate parameters without one entry per link of ``family``."""
+    if params.r.shape != (family.width,):
+        raise ValueError(f"the rates are for {params.r.size} links, the "
+                         f"family's width is {family.width}")
 
 
 def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
@@ -108,61 +134,54 @@ def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
     closed, so every member is reachable from the empty set by single-link
     additions, and every member carries mass.  A state's log weight sums
     the per-link weights ``r_i - log(mu_i)`` over its members in ascending
-    link order, as a left fold from 0.0: the sum of the state without its
-    top link, plus that link's weight.  (Python 3.12's ``sum`` of floats is
-    compensated, so it is not that fold.)  scipy's ``logsumexp`` is
-    imported on the first call, not with the package.
+    link order, as a left fold from 0.0 along the link axis, where each
+    link outside the state adds an exact ``+0.0``.  (Python 3.12's ``sum``
+    of floats is compensated, so it is not that fold.)  scipy's
+    ``logsumexp`` is imported on the first call, not with the package.
     """
     # imported here: about 48 MB and 0.5 s that K > 20 runs never use
     from scipy.special import logsumexp
 
-    w = (params.r - np.log(params.mu)).tolist()
-    # ascending members: a state's prefix, itself a member, comes first
-    fold = {0: 0.0}
-    for bits in family.sets[1:]:
-        top = bits.bit_length() - 1
-        fold[bits] = fold[bits ^ 1 << top] + w[top]
-    logw = np.array(list(fold.values()))
-    if not np.all(np.isfinite(logw)):
+    _check_rates(family, params)
+    w = params.r - np.log(params.mu)
+    logw = _left_fold(np.where(family.links(), w[:, None], 0.0), axis=0)
+    if not np.isfinite(logw).all():
         raise ValueError("non-finite state weight; |r| too large")
     return SteadyState(family, np.exp(logw - logsumexp(logw)))
 
 
-def _law(family: FeasibleFamily, q: SteadyState) -> dict:
-    """Member bits -> stationary probability of ``q``, a law over ``family``."""
+def _law(family: FeasibleFamily, params: RateParams, q: SteadyState):
+    """The probabilities of ``q``, a law over ``family``, and per link and
+    member: whether the member holds the link, whether the link can join
+    it, and the probability of the member with the link flipped (0.0
+    where that set is not a member)."""
+    _check_rates(family, params)
     if q.family != family:
         raise ValueError("the law is over another family")
-    return dict(zip(family.sets, q.probs.tolist()))
+    held = family.links()
+    at, found = family.find(family.flipped())
+    flipped = np.where(found, q.probs.take(at, mode="clip"), 0.0)
+    return q.probs, held, found & ~held, flipped
 
 
 def global_balance_residual(family: FeasibleFamily, params: RateParams,
                             q: SteadyState) -> float:
     """Max absolute violation of the global balance equations."""
-    lam = params.lam
-    prob = _law(family, q)
-    worst = 0.0
-    for bits, qd in prob.items():
-        ids = tuple(bit_ids(bits))
-        up = tuple(bit_ids(family.frontier[bits]))
-        out_rate = sum(params.mu[i] for i in ids)
-        out_rate += sum(lam[j] for j in up)
-        inflow = sum(lam[i] * prob[bits & ~(1 << i)] for i in ids)
-        inflow += sum(params.mu[j] * prob[bits | 1 << j] for j in up)
-        worst = max(worst, abs(out_rate * qd - inflow))
-    return worst
+    lam, mu = params.lam[:, None], params.mu[:, None]
+    prob, held, up, flipped = _law(family, params, q)
+    out_rate = np.where(held, mu, 0.0).sum(axis=0)
+    out_rate += np.where(up, lam, 0.0).sum(axis=0)
+    inflow = np.where(held, lam * flipped, 0.0).sum(axis=0)
+    inflow += np.where(up, mu * flipped, 0.0).sum(axis=0)
+    return float(np.max(np.abs(out_rate * prob - inflow)))
 
 
 def detailed_balance_residual(family: FeasibleFamily, params: RateParams,
                               q: SteadyState) -> float:
     """Max absolute violation of pairwise detailed balance over chain edges."""
-    lam = params.lam
-    prob = _law(family, q)
-    worst = 0.0
-    for bits, qd in prob.items():
-        for j in bit_ids(family.frontier[bits]):
-            worst = max(worst, abs(params.mu[j] * prob[bits | 1 << j]
-                                   - lam[j] * qd))
-    return worst
+    prob, _, up, flipped = _law(family, params, q)
+    gap = params.mu[:, None] * flipped - params.lam[:, None] * prob
+    return float(np.max(np.abs(np.where(up, gap, 0.0)), initial=0.0))
 
 
 def expected_throughput(family: FeasibleFamily, params: RateParams) -> np.ndarray:

@@ -8,9 +8,13 @@ pairwise and the range rule per link, so every subset of an independent set
 is independent.  Enumeration therefore grows the family from the empty set,
 and a family must be downward closed.  A set is an int bitmask, bit i for
 link i, in the family, the frontier and the capacity LP alike; ``LinkSet``
-is the argument of ``is_independent`` and the printer of a mask.  The
-family caches one frontier per member, the bitmask of links that can join
-it, and the chain's moves are read from it.
+is the argument of ``is_independent`` and the printer of a mask.  A
+family holds its members as one sorted int64 array (K <= 62) and derives
+everything per set from it in array operations whose number does not
+grow with K: its own validation, the 0/1 matrix of the capacity LP, and
+the frontier, the bitmask of links that can join each member, found by
+``searchsorted`` and cached aligned with the members.  The chain's moves
+are read from the frontier.
 
 ``compile_network`` compiles a topology and channel once into the tables
 ``is_independent`` reads.  Its ``joins`` judges a set plus each of some
@@ -80,55 +84,129 @@ class LinkSet:
         return "{" + ",".join(str(i) for i in self.ids()) + "}"
 
 
-@dataclass(frozen=True)
+#: Widest family: every member, and ``1 << width``, fits an int64.
+MAX_WIDTH = 62
+
+
+def _masks(sets) -> np.ndarray:
+    """``sets`` as a new int64 array, refusing members that are not ints.
+
+    An integer array is copied as int64; any other iterable is checked by
+    the types of its members first, since numpy would read ``True`` as 1
+    and cast ``1.5`` to 1.  A member past int64 is out of any width.
+    """
+    if not (isinstance(sets, np.ndarray) and sets.dtype.kind in "iu"):
+        sets = list(sets)
+        if not all(issubclass(t, (int, np.integer)) and t is not bool
+                   for t in set(map(type, sets))):
+            raise ValueError("a family's members must be int bitmasks")
+    try:
+        masks = np.array(sets, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("every member must lie within the family's "
+                         "width") from None
+    if masks.ndim != 1:
+        raise ValueError("a family's members must be int bitmasks")
+    return masks
+
+
+@dataclass(frozen=True, eq=False)
 class FeasibleFamily:
     """All independent sets of a topology as link bitmasks, in ascending order.
 
-    The members are distinct ints in ``[0, 2**width)`` and downward closed:
-    the empty set ``0`` is one, and dropping any link from a member gives a
-    member.  So every member is reachable from the empty set one link at a
-    time.
+    ``sets`` is one sorted, read-only int64 array, bit i for link i, and
+    ``width`` an int in ``[0, 62]``.  The members are distinct, lie in
+    ``[0, 2**width)`` and are downward closed: the empty set ``0`` is one,
+    and dropping any link from a member gives a member.  So every member
+    is reachable from the empty set one link at a time.  Every per-set
+    array (``frontier``, ``links()``, ``vectors()``, a law over the
+    family) is aligned with ``sets`` and derived from it with a number of
+    numpy calls that does not grow with ``width``.  Two families are equal
+    when their widths and members are.
     """
 
-    sets: tuple
+    sets: np.ndarray
     width: int
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.sets))
-        members = frozenset(ordered)
-        object.__setattr__(self, "sets", ordered)
-        object.__setattr__(self, "_members", members)
-        if len(members) != len(ordered):
+        width = self.width
+        if (not isinstance(width, (int, np.integer)) or isinstance(width, bool)
+                or not 0 <= width <= MAX_WIDTH):
+            raise ValueError(f"a family's width must be an int in "
+                             f"[0, {MAX_WIDTH}]")
+        sets = _masks(self.sets)
+        sets.sort()
+        sets.setflags(write=False)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "width", int(width))
+        if (sets[1:] == sets[:-1]).any():
             raise ValueError("a family's members must be distinct")
-        if ordered and not 0 <= ordered[0] <= ordered[-1] < 1 << self.width:
+        if sets.size and not 0 <= sets[0] <= sets[-1] < 1 << width:
             raise ValueError("every member must lie within the family's width")
-        if not members or any(bits & ~(1 << i) not in members
-                              for bits in ordered for i in bit_ids(bits)):
+        # each member with one of its links dropped
+        drops = self.flipped()[self.links()]
+        if not sets.size or not self.find(drops)[1].all():
             raise ValueError("a feasible family must be nonempty and closed "
                              "under dropping a link")
 
     def __len__(self) -> int:
         return len(self.sets)
 
+    def __eq__(self, other):
+        if not isinstance(other, FeasibleFamily):
+            return NotImplemented
+        return (self.width == other.width
+                and np.array_equal(self.sets, other.sets))
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.sets.tobytes()))
+
     def __contains__(self, bits) -> bool:
-        return bits in self._members
+        try:
+            self.index(bits)
+        except ValueError:
+            return False
+        return True
+
+    def index(self, bits) -> int:
+        """Position of the member ``bits`` in ``sets``."""
+        if (isinstance(bits, (int, np.integer)) and not isinstance(bits, bool)
+                and 0 <= bits < 1 << self.width):
+            n, found = self.find(bits)
+            if found:
+                return int(n)
+        raise ValueError("set is not a member of the family")
+
+    def find(self, masks):
+        """Per int64 mask in ``masks``: where it sorts into ``sets`` (its
+        position if it is a member), and whether it is one."""
+        at = self.sets.searchsorted(masks)
+        return at, self.sets.take(at, mode="clip") == masks
+
+    def _bits(self) -> np.ndarray:
+        """``1 << i`` for each link i, as an int64 column."""
+        return np.left_shift(1, np.arange(self.width, dtype=np.int64))[:, None]
+
+    def links(self) -> np.ndarray:
+        """(K, m) bool matrix: entry [i, n] is whether member n holds link i."""
+        return (self.sets & self._bits()).astype(bool)
+
+    def flipped(self) -> np.ndarray:
+        """(K, m) int64 matrix: entry [i, n] is member n with link i
+        dropped if it holds i, else added."""
+        return self.sets ^ self._bits()
 
     @cached_property
-    def frontier(self) -> dict:
-        """Member bits -> bitmask of the links outside it that can join it."""
-        return {
-            bits: sum(1 << i for i in range(self.width)
-                      if not bits >> i & 1 and bits | 1 << i in self._members)
-            for bits in self.sets
-        }
+    def frontier(self) -> np.ndarray:
+        """Per member, aligned with ``sets``: the bitmask of the links
+        outside it that can join it."""
+        bits = self._bits()
+        _, joins = self.find(self.sets | bits)
+        return np.where(joins & ~self.links(), bits, 0).sum(axis=0)
 
     def vectors(self) -> np.ndarray:
         """Family as a (m, K) 0/1 matrix, one row per set."""
-        v = np.zeros((len(self.sets), self.width))
-        for k, bits in enumerate(self.sets):
-            for i in bit_ids(bits):
-                v[k, i] = 1.0
-        return v
+        return self.links().T.astype(float)
 
 
 def _check_channel(topology: NetworkTopology, channel: ChannelMatrix) -> None:
@@ -363,9 +441,7 @@ def _compile(topology: NetworkTopology,
 
 def eta(bits: int, family: FeasibleFamily) -> tuple:
     """Links that can be added to ``bits`` keeping the result in the family."""
-    if bits not in family:
-        raise ValueError("set is not a member of the family")
-    return tuple(bit_ids(family.frontier[bits]))
+    return tuple(bit_ids(int(family.frontier[family.index(bits)])))
 
 
 def enumerate_feasible(topology: NetworkTopology,
@@ -394,27 +470,24 @@ def enumerate_feasible(topology: NetworkTopology,
         for n, i in enumerate(children):
             sets.append(bits | 1 << i)
             todo.append((bits | 1 << i, children[n + 1:]))
-    return FeasibleFamily(tuple(sets), k)
+    return FeasibleFamily(sets, k)
 
 
 def reachable_subfamily(family: FeasibleFamily) -> tuple:
-    """Split a family into (reachable-from-empty sets, unreachable sets).
+    """Split a family into (reachable-from-empty sets, unreachable sets),
+    each a sorted int64 array, by a breadth-first walk of the frontier.
 
     A family is downward closed, so the second part is always empty.
     """
-    frontier = family.frontier
-    seen = {0}
-    todo = [0]
-    while todo:
-        bits = todo.pop()
-        for i in bit_ids(frontier[bits]):
-            nxt = bits | 1 << i
-            if nxt not in seen:
-                seen.add(nxt)
-                todo.append(nxt)
-    reachable = tuple(bits for bits in family.sets if bits in seen)
-    unreachable = tuple(bits for bits in family.sets if bits not in seen)
-    return reachable, unreachable
+    sets, bits = family.sets, family._bits()
+    seen = sets == 0
+    level = np.flatnonzero(seen)
+    while level.size:
+        up = (sets[level] | bits)[family.frontier[level] & bits != 0]
+        at, _ = family.find(up)
+        level = np.unique(at[~seen[at]])
+        seen[level] = True
+    return sets[seen], sets[~seen]
 
 
 def capacity_contains(x, family: FeasibleFamily):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,13 @@ from hypothesis import given, settings, strategies as st
 from csma_sic import (FeasibleFamily, RateParams, build_channel_matrix,
                       SteadyState, detailed_balance_residual,
                       enumerate_feasible, expected_throughput,
-                      global_balance_residual, steady_state)
+                      global_balance_residual, load_scenario,
+                      reachable_subfamily, steady_state)
+from csma_sic.setspace import bit_ids
 from conftest import random_topology
+import scalar_reference as ref
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def chain_family(k):
@@ -21,7 +27,7 @@ def chain_family(k):
 
 def prob(ss, bits):
     """Stationary probability of the member ``bits``."""
-    return ss.probs[ss.family.sets.index(bits)]
+    return ss.probs[ss.family.index(bits)]
 
 
 class TestRateParams:
@@ -68,6 +74,25 @@ class TestRateParams:
                             mu=np.array([1, 2, 3]))
         assert params.r.tolist() == [0.0, 0.5, 1.0]
         assert params.r.dtype == params.mu.dtype == np.float64
+
+
+class TestRateLength:
+    """On the 3-link triangle, 5 rates were cut to the first 3 and 2 rates
+    raised ``IndexError``; each is refused."""
+
+    @pytest.mark.parametrize("k", [2, 5, 0])
+    def test_rates_for_another_width_refused(self, triangle, k):
+        fam = enumerate_feasible(*triangle)
+        ss = steady_state(fam, RateParams.uniform(3))
+        params = RateParams.uniform(k)
+        message = f"the rates are for {k} links, the family's width is 3"
+        with pytest.raises(ValueError, match=message):
+            steady_state(fam, params)
+        with pytest.raises(ValueError, match=message):
+            expected_throughput(fam, params)
+        for residual in (global_balance_residual, detailed_balance_residual):
+            with pytest.raises(ValueError, match=message):
+                residual(fam, params, ss)
 
 
 class TestTriangleSteadyState:
@@ -139,26 +164,17 @@ class TestNumericalStability:
         one at a time in ascending link order, from 0.0.  Python 3.12's
         ``sum`` of floats is compensated and rounds some of these sums
         otherwise; so does ``math.fsum``, which some states here show."""
-        from scipy.special import logsumexp
-
         k = 6
         fam = FeasibleFamily(tuple(range(1 << k)), k)
         rng = np.random.default_rng(11)
         params = RateParams(r=rng.uniform(-3, 3, size=k),
                             mu=rng.uniform(0.2, 5.0, size=k))
         w = (params.r - np.log(params.mu)).tolist()
-        logw = []
-        for bits in fam.sets:
-            total = 0.0
-            for i in range(k):
-                if bits >> i & 1:
-                    total += w[i]
-            logw.append(total)
+        logw = ref.log_weights(fam, params).tolist()
         assert any(total != math.fsum(w[i] for i in range(k) if bits >> i & 1)
-                   for bits, total in zip(fam.sets, logw))
-        logw = np.array(logw)
-        expected = np.exp(logw - logsumexp(logw))
-        assert np.array_equal(steady_state(fam, params).probs, expected)
+                   for bits, total in zip(fam.sets.tolist(), logw))
+        assert np.array_equal(steady_state(fam, params).probs,
+                              ref.steady_probs(fam, params))
 
     def test_extreme_rates_stay_normalized(self, triangle):
         topo, channel = triangle
@@ -210,3 +226,49 @@ class TestNumericalStability:
         assert global_balance_residual(fam, params, ss) <= 1e-10
         assert detailed_balance_residual(fam, params, ss) <= 1e-12
 
+
+
+@pytest.fixture(scope="module")
+def rng8_family():
+    """The partial-range rng 8 topology of ``TestSparseRange``: K = 20 and
+    105,648 independent sets, enumerated with the compiled ``joins``."""
+    rng = np.random.default_rng(8)
+    topo = random_topology(rng, int(rng.integers(8, 26)), radius=6.0,
+                           area=20.0)
+    return ref.enumerate_by_joins(topo, build_channel_matrix(topo))
+
+
+class TestFamilyAtScale:
+    """The exact engine's array steps on a family of 10^5 sets equal the
+    scalar folds of ``scalar_reference`` bit for bit."""
+
+    def test_joins_enumeration_matches_the_package(self):
+        scn = load_scenario(ROOT / "scenarios" / "sparse-k10.yaml")
+        assert (ref.enumerate_by_joins(scn.topology, scn.channel)
+                == enumerate_feasible(scn.topology, scn.channel))
+
+    def test_closed_under_dropping_a_link(self, rng8_family):
+        fam = rng8_family
+        assert (len(fam), fam.width) == (105_648, 20)
+        members = fam.sets.tolist()
+        inside = set(members)
+        assert all(bits ^ 1 << i in inside
+                   for bits in members for i in bit_ids(bits))
+        assert reachable_subfamily(fam)[1].size == 0
+
+    def test_frontier_and_vectors(self, rng8_family):
+        fam = rng8_family
+        assert fam.frontier.tolist() == ref.frontier(fam)
+        assert np.array_equal(fam.vectors(), ref.vectors(fam))
+
+    def test_law_and_throughput(self, rng8_family):
+        fam = rng8_family
+        rng = np.random.default_rng(3)
+        params = RateParams(r=rng.uniform(-1.0, 1.5, size=fam.width),
+                            mu=rng.uniform(0.5, 2.0, size=fam.width))
+        ss = steady_state(fam, params)
+        assert np.array_equal(ss.probs, ref.steady_probs(fam, params))
+        assert np.array_equal(ss.throughput(),
+                              ref.throughput(fam, ss.probs))
+        assert global_balance_residual(fam, params, ss) <= 1e-10
+        assert detailed_balance_residual(fam, params, ss) <= 1e-12

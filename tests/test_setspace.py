@@ -45,7 +45,7 @@ class TestTriangleFamily:
         topo, channel = triangle
         fam = enumerate_feasible(topo, channel)
         assert len(fam) == 7
-        assert fam.sets == (0, 1, 2, 3, 4, 5, 6)
+        assert fam.sets.tolist() == [0, 1, 2, 3, 4, 5, 6]
         assert 0b111 not in fam
 
     def test_eta(self, triangle):
@@ -60,17 +60,17 @@ class TestTriangleFamily:
     def test_frontier(self, triangle):
         topo, channel = triangle
         fam = enumerate_feasible(topo, channel)
-        assert fam.frontier[0] == 0b111
-        assert fam.frontier[0b001] == 0b110
-        assert fam.frontier[0b011] == 0
-        assert list(fam.frontier) == list(fam.sets)
+        assert fam.frontier[fam.index(0)] == 0b111
+        assert fam.frontier[fam.index(0b001)] == 0b110
+        assert fam.frontier[fam.index(0b011)] == 0
+        assert fam.frontier.shape == fam.sets.shape
 
     def test_reachable_equals_exhaustive(self, triangle):
         topo, channel = triangle
         fam = enumerate_feasible(topo, channel)
         order, unreachable = reachable_subfamily(fam)
-        assert unreachable == ()
-        assert order == fam.sets
+        assert unreachable.size == 0
+        assert np.array_equal(order, fam.sets)
 
 
 def exhaustive_bits(topo, channel):
@@ -89,7 +89,8 @@ class TestDownwardClosure:
             topo = random_topology(rng, 3)
             channel = build_channel_matrix(topo)
             fam = enumerate_feasible(topo, channel)
-            if any(bin(s).count("1") == 2 for s in fam.sets) and 0b111 not in fam:
+            if (any(bin(s).count("1") == 2 for s in fam.sets.tolist())
+                    and 0b111 not in fam):
                 found = True
                 break
         assert found
@@ -102,7 +103,7 @@ class TestDownwardClosure:
             topo = random_topology(rng, 3, cancel_fraction=0.7)
             channel = build_channel_matrix(topo)
             fam = enumerate_feasible(topo, channel)
-            for s in fam.sets:
+            for s in fam.sets.tolist():
                 for i in bit_ids(s):
                     assert s & ~(1 << i) in fam
 
@@ -123,9 +124,9 @@ class TestDownwardClosure:
                     topo = replace(topo, phy=phy)
                     channel = build_channel_matrix(topo)
                     fam = enumerate_feasible(topo, channel)
-                    assert list(fam.sets) == exhaustive_bits(topo, channel)
+                    assert fam.sets.tolist() == exhaustive_bits(topo, channel)
                     largest = max(largest, max(bin(s).count("1")
-                                               for s in fam.sets))
+                                               for s in fam.sets.tolist()))
         assert largest >= 4
 
     def test_family_must_be_downward_closed(self):
@@ -716,6 +717,90 @@ class TestFamilyConstruction:
         with pytest.raises(ValueError, match="distinct"):
             FeasibleFamily((0, 1, 1), 2)
 
+    @pytest.mark.parametrize("sets", [
+        (0, True), (False, 1), np.array([False, True]),
+        [np.bool_(False), 1],
+    ])
+    def test_bool_members_refused(self, sets):
+        """numpy reads ``True`` as 1, so ``(0, True)`` was the family
+        {0, 1}; a member must be an int."""
+        with pytest.raises(ValueError, match="must be int bitmasks"):
+            FeasibleFamily(sets, 1)
+
+    @pytest.mark.parametrize("sets", [
+        (0, 1.5), (0, 1.0), np.array([0.0, 1.0]), (0, "1"), (0, None),
+        np.array([[0, 1]]),
+    ])
+    def test_non_integer_members_refused(self, sets):
+        """``1.5`` died in the bit walk with a ``TypeError``; an int64 cast
+        would have made it 1."""
+        with pytest.raises(ValueError, match="must be int bitmasks"):
+            FeasibleFamily(sets, 1)
+
+    @pytest.mark.parametrize("width", [True, 1.5, 2.0, "2", None, -1, 63,
+                                       np.bool_(True)])
+    def test_width_must_be_an_int_up_to_62(self, width):
+        with pytest.raises(ValueError, match=r"width must be an int in "
+                                             r"\[0, 62\]"):
+            FeasibleFamily((0, 1), width)
+
+    def test_members_past_int64_refused(self):
+        for sets in ((0, 1 << 70), np.array([0, 1 << 63], dtype=np.uint64)):
+            with pytest.raises(ValueError, match="within the family's width"):
+                FeasibleFamily(sets, 62)
+
+    def test_members_are_a_sorted_read_only_int64_array(self):
+        for sets in ((3, 0, 2, 1), [np.int32(3), 0, 2, np.uint8(1)],
+                     np.array([3, 0, 2, 1], dtype=np.uint16),
+                     (b for b in (3, 0, 2, 1)), range(4)):
+            fam = FeasibleFamily(sets, np.int64(2))
+            assert fam.sets.dtype == np.int64 and fam.width == 2
+            assert type(fam.width) is int
+            assert fam.sets.tolist() == [0, 1, 2, 3]
+            with pytest.raises(ValueError, match="read-only"):
+                fam.sets[0] = 1
+
+    def test_widest_family(self):
+        top = 1 << 61
+        fam = FeasibleFamily((0, top, 1, top | 1), 62)
+        assert fam.frontier.tolist() == [1 | top, top, 1, 0]
+        assert eta(top, fam) == (0,)
+        assert fam.vectors()[3].tolist() == [1.0] + [0.0] * 60 + [1.0]
+
+    def test_equality_and_hash_by_width_and_members(self):
+        fam = FeasibleFamily((0, 1, 2), 2)
+        same = FeasibleFamily(np.array([2, 0, 1]), 2)
+        assert fam == same and hash(fam) == hash(same)
+        assert fam != FeasibleFamily((0, 1, 2), 3)
+        assert fam != FeasibleFamily((0, 1, 2, 3), 2)
+        assert fam != (0, 1, 2)
+        assert len({fam, same}) == 1
+
+    def test_membership(self):
+        fam = FeasibleFamily((0, 1, 2), 2)
+        assert [b in fam for b in (0, 1, 2, 3, -1, 4, 1 << 70)] == [
+            True, True, True, False, False, False, False]
+        assert np.int64(2) in fam and 1.0 not in fam and True not in fam
+        assert fam.index(2) == 2
+        with pytest.raises(ValueError, match="not a member"):
+            fam.index(3)
+
+    def test_zero_width_family(self):
+        """No links: the family is the empty set alone, as CI's empty
+        scenario builds it."""
+        fam = FeasibleFamily((0,), 0)
+        assert fam.sets.tolist() == [0] and len(fam) == 1
+        assert fam.frontier.tolist() == [0]
+        assert fam.vectors().shape == (1, 0) and fam.links().shape == (0, 1)
+        assert eta(0, fam) == ()
+        order, unreachable = reachable_subfamily(fam)
+        assert order.tolist() == [0] and unreachable.size == 0
+        ok, alpha = capacity_contains([], fam)
+        assert ok and alpha.tolist() == [1.0]
+        for sets in ((0, 1), ()):
+            with pytest.raises(ValueError):
+                FeasibleFamily(sets, 0)
+
 
 class TestEnumerationCap:
     def test_cap_enforced(self, triangle, monkeypatch):
@@ -798,7 +883,7 @@ class TestCapacityRegion:
         topo, channel = triangle
         fam = enumerate_feasible(topo, channel)
         assert capacity_contains([0.0] * 3, fam)[0]
-        for s in fam.sets:
+        for s in fam.sets.tolist():
             x = np.zeros(3)
             for i in bit_ids(s):
                 x[i] = 1.0

@@ -247,7 +247,7 @@ def _sha256(data: bytes) -> str:
 class TestPinnedOutputs:
     """Outputs recorded at earlier commits (the K=25 trajectory while the
     simulator still decided with the table check); a refactor of the event
-    loop or of the CLI's writer must reproduce them.  A CLI run pins the
+    loop, of the exact engine or of the CLI's writer must reproduce them.  A CLI run pins the
     sha256 of its CSV and of its stdout."""
 
     TRIANGLE_CSV_SHA256 = {
@@ -376,6 +376,212 @@ class TestPinnedOutputs:
         assert (_sha256(printed)
                 == self.WEIGHTED_TRIANGLE_STDOUT_SHA256[command])
 
+    # every command on four scenarios at seeds 1-3, each with its own
+    # horizon, recorded while the family was still a tuple of ints:
+    # (scenario path from the repo root, command, seed) -> sha256, None
+    # where the command refuses K = 25 with exit 2 and writes nothing
+    ALL_RUNS_CSV_SHA256 = {
+        ("perfbench/scenarios/dense-k25.yaml", "adapt", 1):
+            "cb3a9b26c0153a98de65ea52178aa725d19198c1a6a91a8c470784c3dc6d29c7",
+        ("perfbench/scenarios/dense-k25.yaml", "adapt", 2):
+            "fed970c3b743b36d045ab8c65dc5d338fd25d73d58c0f7573b6e39d478b1462f",
+        ("perfbench/scenarios/dense-k25.yaml", "adapt", 3):
+            "766317e372f4f10942d4913366ae5f6b1f8c976897c225491b09a5bfe8e4d6fa",
+        ("perfbench/scenarios/dense-k25.yaml", "analyze", 1): None,
+        ("perfbench/scenarios/dense-k25.yaml", "analyze", 2): None,
+        ("perfbench/scenarios/dense-k25.yaml", "analyze", 3): None,
+        ("perfbench/scenarios/dense-k25.yaml", "capacity", 1): None,
+        ("perfbench/scenarios/dense-k25.yaml", "capacity", 2): None,
+        ("perfbench/scenarios/dense-k25.yaml", "capacity", 3): None,
+        ("perfbench/scenarios/dense-k25.yaml", "simulate", 1):
+            "5d7eb4dfe3c8a3266b88ece8983b8f07d5a9025f973c58c6648c00564e19c8ad",
+        ("perfbench/scenarios/dense-k25.yaml", "simulate", 2):
+            "e6bf98c6a6ca8f1430d9d4ef6ed0e009f9df982e39144b43252c66ba0de49604",
+        ("perfbench/scenarios/dense-k25.yaml", "simulate", 3):
+            "de081cab41599f8b7a495a620d91c75ccadad9c1ab06fc3d02ab8a9c17b68b31",
+        ("perfbench/scenarios/spread-k12.yaml", "adapt", 1):
+            "0191620d0c80ec28fb9856bebb3d126bfde746187a989e6cf8c2f110bbc2371d",
+        ("perfbench/scenarios/spread-k12.yaml", "adapt", 2):
+            "91f4f89678f216791d61c7bb7effdb33187e1d3424789eb7751ab7c6e590848c",
+        ("perfbench/scenarios/spread-k12.yaml", "adapt", 3):
+            "ad0b1a34e7d2f33f9641ec1b8e6951eb0e3a418922f6ff7bdad44a2baa261998",
+        ("perfbench/scenarios/spread-k12.yaml", "analyze", 1):
+            "f83ae525e494d9b8d2cf33e046d7458f665fdade2b724282f51ac3e4f9b436be",
+        ("perfbench/scenarios/spread-k12.yaml", "analyze", 2):
+            "f83ae525e494d9b8d2cf33e046d7458f665fdade2b724282f51ac3e4f9b436be",
+        ("perfbench/scenarios/spread-k12.yaml", "analyze", 3):
+            "f83ae525e494d9b8d2cf33e046d7458f665fdade2b724282f51ac3e4f9b436be",
+        ("perfbench/scenarios/spread-k12.yaml", "capacity", 1):
+            "e687f17702bca492be509e300c56df5871f40f2b3b80c296d0cd64ad520d20d8",
+        ("perfbench/scenarios/spread-k12.yaml", "capacity", 2):
+            "e687f17702bca492be509e300c56df5871f40f2b3b80c296d0cd64ad520d20d8",
+        ("perfbench/scenarios/spread-k12.yaml", "capacity", 3):
+            "e687f17702bca492be509e300c56df5871f40f2b3b80c296d0cd64ad520d20d8",
+        ("perfbench/scenarios/spread-k12.yaml", "simulate", 1):
+            "0ca20c1c6bec328a3e17e52d6afac7bd6025d5f3525dd607827dda10e867f346",
+        ("perfbench/scenarios/spread-k12.yaml", "simulate", 2):
+            "2c273b84bd4d01daddcb168bc36e58993003cc9631fbb6b8b8c4afc6611367d1",
+        ("perfbench/scenarios/spread-k12.yaml", "simulate", 3):
+            "d677c06ac68a6e40156764e2fafd55b6b5c9400930bc4fe92c0a94da8a2ed33b",
+        ("scenarios/sparse-k10.yaml", "adapt", 1):
+            "f3b5aaf972dccfc3d435438a208a7631cca6e0d41cd23ab2b3c83c60bd0f22ba",
+        ("scenarios/sparse-k10.yaml", "adapt", 2):
+            "f198d2d68e925ed1635a614d3ae8ae1df460dc7be0c14d4e756a1fcdb2684ed0",
+        ("scenarios/sparse-k10.yaml", "adapt", 3):
+            "04368c27c09e0dfa9be202a649d3d673afffd347e310abe4f5728f807f2a86f9",
+        ("scenarios/sparse-k10.yaml", "analyze", 1):
+            "3df265961be74ed77a73931ef8a61210e209dd546c83cef5c8683f375b6a7ffc",
+        ("scenarios/sparse-k10.yaml", "analyze", 2):
+            "3df265961be74ed77a73931ef8a61210e209dd546c83cef5c8683f375b6a7ffc",
+        ("scenarios/sparse-k10.yaml", "analyze", 3):
+            "3df265961be74ed77a73931ef8a61210e209dd546c83cef5c8683f375b6a7ffc",
+        ("scenarios/sparse-k10.yaml", "capacity", 1):
+            "9860bf8635e6f2fc77e0c43298e83492a031de1dfeaedc1f1121f4943b7f3f30",
+        ("scenarios/sparse-k10.yaml", "capacity", 2):
+            "9860bf8635e6f2fc77e0c43298e83492a031de1dfeaedc1f1121f4943b7f3f30",
+        ("scenarios/sparse-k10.yaml", "capacity", 3):
+            "9860bf8635e6f2fc77e0c43298e83492a031de1dfeaedc1f1121f4943b7f3f30",
+        ("scenarios/sparse-k10.yaml", "simulate", 1):
+            "45e5f97cb43e4afa6d4d383a252246d97c6e501e60080d3b3f24250375dc9993",
+        ("scenarios/sparse-k10.yaml", "simulate", 2):
+            "f1964155dd22ff3d605953dd9c3df096485041b5480c151a9f73d42b0fe0b274",
+        ("scenarios/sparse-k10.yaml", "simulate", 3):
+            "a16f4c4994d7b0b9e233d5517df26618e91cc46d74d6dc206f816344d38f2065",
+        ("scenarios/triangle.yaml", "adapt", 1):
+            "81c733024d1487232ac703ea3bf8482c5bc7d1d763134a7c39b5c5479f349287",
+        ("scenarios/triangle.yaml", "adapt", 2):
+            "1373215c5f3af53f12b2885ab14aeab3f3dabd5c18ac0579a103ba75b65a6cab",
+        ("scenarios/triangle.yaml", "adapt", 3):
+            "37907e8bda34b74d70c8cfc0159080311840d3ba6169efc398a7c8dcc19803cf",
+        ("scenarios/triangle.yaml", "analyze", 1):
+            "d25776a58b2f40e65c589d059df35f00c4bc6deaa082991cb109cfccbbdde139",
+        ("scenarios/triangle.yaml", "analyze", 2):
+            "d25776a58b2f40e65c589d059df35f00c4bc6deaa082991cb109cfccbbdde139",
+        ("scenarios/triangle.yaml", "analyze", 3):
+            "d25776a58b2f40e65c589d059df35f00c4bc6deaa082991cb109cfccbbdde139",
+        ("scenarios/triangle.yaml", "capacity", 1):
+            "c17a683a466d6f2edb0ef6d220344a03e67fa306df1275a07fa9dffe61232cd3",
+        ("scenarios/triangle.yaml", "capacity", 2):
+            "c17a683a466d6f2edb0ef6d220344a03e67fa306df1275a07fa9dffe61232cd3",
+        ("scenarios/triangle.yaml", "capacity", 3):
+            "c17a683a466d6f2edb0ef6d220344a03e67fa306df1275a07fa9dffe61232cd3",
+        ("scenarios/triangle.yaml", "simulate", 1):
+            "240e522be19726979e9517569f741973bc436630d16c2d985045208bc769c080",
+        ("scenarios/triangle.yaml", "simulate", 2):
+            "f912685a7cf851fbffc06dc145ca971c9f4dbe1075122af371da6db4758785f9",
+        ("scenarios/triangle.yaml", "simulate", 3):
+            "29154bcdd9ac9dd0153d93aa5772d4c97b8a91037231e8e9c44928489446a541",
+    }
+    ALL_RUNS_STDOUT_SHA256 = {
+        ("perfbench/scenarios/dense-k25.yaml", "adapt", 1):
+            "fc575c357efb3e5be49736f46f30304225d11bd6e01156844479ec7891080c0f",
+        ("perfbench/scenarios/dense-k25.yaml", "adapt", 2):
+            "4af01f9e2c35416f57e852ca7085da310f40a3621df407e9988831961aeda7f5",
+        ("perfbench/scenarios/dense-k25.yaml", "adapt", 3):
+            "554f55bc1e5db40cdf63951be152863d882fc137db321b9ac8c68ce2b4f4e37c",
+        ("perfbench/scenarios/dense-k25.yaml", "analyze", 1): None,
+        ("perfbench/scenarios/dense-k25.yaml", "analyze", 2): None,
+        ("perfbench/scenarios/dense-k25.yaml", "analyze", 3): None,
+        ("perfbench/scenarios/dense-k25.yaml", "capacity", 1): None,
+        ("perfbench/scenarios/dense-k25.yaml", "capacity", 2): None,
+        ("perfbench/scenarios/dense-k25.yaml", "capacity", 3): None,
+        ("perfbench/scenarios/dense-k25.yaml", "simulate", 1):
+            "5c07c47121aea3e78af31e5b838032c5b5be588bee444d2d810dfc17eee2461d",
+        ("perfbench/scenarios/dense-k25.yaml", "simulate", 2):
+            "dff4840980ec13d7c8931ad8fc0f8a4ce02c89c09fda13dedf9412ed417bd14c",
+        ("perfbench/scenarios/dense-k25.yaml", "simulate", 3):
+            "b3896c1accc6a6a47654fcda331c662df2e5ed4218026d1db1625f93053dbe00",
+        ("perfbench/scenarios/spread-k12.yaml", "adapt", 1):
+            "79aa9c40f23556b1ada2ba8a33186c4f09d2768b202ed1a4d087bed9e504f0be",
+        ("perfbench/scenarios/spread-k12.yaml", "adapt", 2):
+            "1814200151d6b6980093e8e74ee9efd88d2cab0e71f8b1c818f5f4507238e1e4",
+        ("perfbench/scenarios/spread-k12.yaml", "adapt", 3):
+            "78cd81b5d9a71067d514a992411c0590d252701765fd73f6632edc2de0f67d11",
+        ("perfbench/scenarios/spread-k12.yaml", "analyze", 1):
+            "9c641d534ca62e7659847c137f18cf1b202da4a515e00cdd908b4128df09752a",
+        ("perfbench/scenarios/spread-k12.yaml", "analyze", 2):
+            "9c641d534ca62e7659847c137f18cf1b202da4a515e00cdd908b4128df09752a",
+        ("perfbench/scenarios/spread-k12.yaml", "analyze", 3):
+            "9c641d534ca62e7659847c137f18cf1b202da4a515e00cdd908b4128df09752a",
+        ("perfbench/scenarios/spread-k12.yaml", "capacity", 1):
+            "1ccca47ecbb9bf0034312549dc427833ec454ebfc023f0f653c18074e9c25ab5",
+        ("perfbench/scenarios/spread-k12.yaml", "capacity", 2):
+            "1ccca47ecbb9bf0034312549dc427833ec454ebfc023f0f653c18074e9c25ab5",
+        ("perfbench/scenarios/spread-k12.yaml", "capacity", 3):
+            "1ccca47ecbb9bf0034312549dc427833ec454ebfc023f0f653c18074e9c25ab5",
+        ("perfbench/scenarios/spread-k12.yaml", "simulate", 1):
+            "95093b9cbaf57c85b3875dea7bb357e457de33f8c1df17bd2837af3291ecfb5f",
+        ("perfbench/scenarios/spread-k12.yaml", "simulate", 2):
+            "539e2d3cb98b25e65b5e914fc03512f09ead3e520d5e5e1781b682c2109c6eb1",
+        ("perfbench/scenarios/spread-k12.yaml", "simulate", 3):
+            "205663e60dbc5e10cc6fd5c52798cbee89b635d5b45fa14a8db97c0ab49ae4c9",
+        ("scenarios/sparse-k10.yaml", "adapt", 1):
+            "2b6379a07059f24d76cc7e3ce7f743e32110fd60e75801653020ec16f4b29504",
+        ("scenarios/sparse-k10.yaml", "adapt", 2):
+            "f8ef50896b7a57f770a3f5bd51d37df245df0af004981cba8e2e20a09aac8b6e",
+        ("scenarios/sparse-k10.yaml", "adapt", 3):
+            "b9174c1721505842c70443c537279bcfd1bd4de930b981834e4944d262b16c59",
+        ("scenarios/sparse-k10.yaml", "analyze", 1):
+            "2280bd213413df5f3b7e0d6200520106fb8e818967e3c5d927d3668f26679a27",
+        ("scenarios/sparse-k10.yaml", "analyze", 2):
+            "2280bd213413df5f3b7e0d6200520106fb8e818967e3c5d927d3668f26679a27",
+        ("scenarios/sparse-k10.yaml", "analyze", 3):
+            "2280bd213413df5f3b7e0d6200520106fb8e818967e3c5d927d3668f26679a27",
+        ("scenarios/sparse-k10.yaml", "capacity", 1):
+            "b08f44cff934751da2d92a0732b80decbdcd7bbe614a52158e1718243c5026f2",
+        ("scenarios/sparse-k10.yaml", "capacity", 2):
+            "b08f44cff934751da2d92a0732b80decbdcd7bbe614a52158e1718243c5026f2",
+        ("scenarios/sparse-k10.yaml", "capacity", 3):
+            "b08f44cff934751da2d92a0732b80decbdcd7bbe614a52158e1718243c5026f2",
+        ("scenarios/sparse-k10.yaml", "simulate", 1):
+            "1c10e7c9298c4a4cd071134aa37468546d49404ea080dc6d1749b209cd14be37",
+        ("scenarios/sparse-k10.yaml", "simulate", 2):
+            "8d1538ba4c020fb722f7925bc25b4ccd07b775572c10c67a04d6c96a2c4bbfba",
+        ("scenarios/sparse-k10.yaml", "simulate", 3):
+            "55ab4e162d15d70e3d43e4897faca35b457a63324ae41d53a2777176d3255818",
+        ("scenarios/triangle.yaml", "adapt", 1):
+            "b6b49475c1d1fb5e6840c2fb96d3e9f9f1c0b3befbf97bcabf587c6e5beab689",
+        ("scenarios/triangle.yaml", "adapt", 2):
+            "6b856384374ea3099dd7d1db12fbeccc1a0f6f24e189a41c1de4f4f85a270efa",
+        ("scenarios/triangle.yaml", "adapt", 3):
+            "3ea6f644e835730913a9fe2debabbc3ee5743d2c96221da4f1c2a411a7537244",
+        ("scenarios/triangle.yaml", "analyze", 1):
+            "b6720bb98e4db4cd1136331c41537d94e408060c38eb74fff648e0d65c8eeb4f",
+        ("scenarios/triangle.yaml", "analyze", 2):
+            "b6720bb98e4db4cd1136331c41537d94e408060c38eb74fff648e0d65c8eeb4f",
+        ("scenarios/triangle.yaml", "analyze", 3):
+            "b6720bb98e4db4cd1136331c41537d94e408060c38eb74fff648e0d65c8eeb4f",
+        ("scenarios/triangle.yaml", "capacity", 1):
+            "d9fd37a397ed4e373ebba8f6119ae27b86a26de1e0aa4cb2e76a1cf82b48d205",
+        ("scenarios/triangle.yaml", "capacity", 2):
+            "d9fd37a397ed4e373ebba8f6119ae27b86a26de1e0aa4cb2e76a1cf82b48d205",
+        ("scenarios/triangle.yaml", "capacity", 3):
+            "d9fd37a397ed4e373ebba8f6119ae27b86a26de1e0aa4cb2e76a1cf82b48d205",
+        ("scenarios/triangle.yaml", "simulate", 1):
+            "c4a571756c914eb27924099ad6e1891ac34d6087de2345be5fba6af459abe5da",
+        ("scenarios/triangle.yaml", "simulate", 2):
+            "8905d06bded2d5e01e8fa0f7d6842ea30b9cf4a202dfc98e6f18aeae0566f4fd",
+        ("scenarios/triangle.yaml", "simulate", 3):
+            "77fe5a79bc559782a0d06cf8946d7f2a72edb40318002c47181419480fb1fd76",
+    }
+
+    @pytest.mark.parametrize("path, command, seed",
+                             sorted(ALL_RUNS_STDOUT_SHA256))
+    def test_every_command(self, tmp_path, capsys, path, command, seed):
+        out = tmp_path / "out.csv"
+        rc = cli_main([command, str(ROOT / path), "--seed", str(seed),
+                       "--out", str(out)])
+        captured = capsys.readouterr()
+        key = path, command, seed
+        if self.ALL_RUNS_STDOUT_SHA256[key] is None:
+            assert rc == 2 and not out.exists() and captured.out == ""
+            assert "enumeration cap" in captured.err
+            return
+        assert rc == 0 and captured.err == ""
+        assert _sha256(out.read_bytes()) == self.ALL_RUNS_CSV_SHA256[key]
+        assert (_sha256(captured.out.encode())
+                == self.ALL_RUNS_STDOUT_SHA256[key])
+
     def test_random_topology_trajectory(self):
         topo = random_topology(np.random.default_rng(7), 10)
         sim = Simulator(topo, build_channel_matrix(topo), seed=3)
@@ -409,8 +615,9 @@ class TestFrontierAgreement:
     def _assert_agree(self, topo, channel):
         family = enumerate_feasible(topo, channel)
         simulator = Simulator(topo, channel)
-        for bits in family.sets:
-            assert simulator._frontier(bits) == family.frontier[bits], bits
+        for bits, front in zip(family.sets.tolist(),
+                               family.frontier.tolist()):
+            assert simulator._frontier(bits) == front, bits
 
     def test_triangle(self, triangle):
         self._assert_agree(*triangle)
@@ -449,7 +656,7 @@ class TestFrontierAgreement:
                         seen.add(mask | 1 << i)
                         todo.append(mask | 1 << i)
             family = enumerate_feasible(topo, channel)
-            assert seen == set(family.sets)
+            assert seen == set(family.sets.tolist())
 
     def test_table_check_on_partial_views(self):
         # receivers that do not hear the candidate do not judge it; the
@@ -475,7 +682,7 @@ class TestFrontierAgreement:
             simulator = Simulator(topo, channel)
             coeffs = {l.rx: warm_coeff_table(topo, channel, l.rx)
                       for l in topo.links}
-            for bits in enumerate_feasible(topo, channel).sets:
+            for bits in enumerate_feasible(topo, channel).sets.tolist():
                 front = simulator._frontier(bits)
                 for l in topo.links:
                     verdict, silent = receiver_veto(topo, coeffs, bits, l)
@@ -570,7 +777,9 @@ class TestTimerState:
     def _step_and_check(self, topo, channel, seed, step, horizon):
         sim = Simulator(topo, channel, seed=seed)
         if topo.n_links <= ENUMERATION_CAP:
-            frontier = enumerate_feasible(topo, channel).frontier.__getitem__
+            family = enumerate_feasible(topo, channel)
+            frontier = dict(zip(family.sets.tolist(),
+                                family.frontier.tolist())).__getitem__
         else:
             # judged one link at a time, with no cache and no bound
             def frontier(mask):
@@ -671,8 +880,9 @@ class TestPairRows:
         sim = Simulator(topo, channel)
         assert sim._pairs == [None] * topo.n_links
         for j in range(topo.n_links):
-            assert sim._pair_bound(1 << j) == family.frontier[1 << j], j
-            assert sim._pairs[j] == family.frontier[1 << j], j
+            front = family.frontier[family.index(1 << j)]
+            assert sim._pair_bound(1 << j) == front, j
+            assert sim._pairs[j] == front, j
 
     def test_triangle(self, triangle):
         self._assert_rows(*triangle)
@@ -917,7 +1127,8 @@ class TestAgainstAnalytical:
         stats = run(topo, channel,
                     SimConfig(horizon=200_000.0, seed=seed, params=params))
         frac = stats.occupancy_fractions()
-        exact = dict(zip(fam.sets, steady_state(fam, params).probs.tolist()))
+        exact = dict(zip(fam.sets.tolist(),
+                         steady_state(fam, params).probs.tolist()))
         tv = 0.5 * sum(abs(frac.get(bits, 0.0) - exact.get(bits, 0.0))
                        for bits in set(frac) | set(exact))
         gap = np.abs(empirical_throughput(stats)
