@@ -16,8 +16,8 @@ from .setspace import (CompiledNetwork, EnumerationCapError, FeasibleFamily,
                        LinkSet, capacity_contains, compile_network,
                        enumerate_feasible, eta, is_independent,
                        reachable_subfamily)
-from .ctmc import (RateParams, SteadyState, detailed_balance_residual,
-                   expected_throughput, global_balance_residual, steady_state)
+from .ctmc import (RateParams, SteadyState, expected_throughput,
+                   global_balance_residual, steady_state)
 from .sim import SimConfig, SimStats, Simulator, empirical_throughput, run
 from .adapt import AdaptConfig, AdaptTrace, adapt_run, update_rates
 from .scenario import Scenario, ScenarioError, dump_scenario, load_scenario

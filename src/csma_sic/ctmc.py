@@ -176,14 +176,6 @@ def global_balance_residual(family: FeasibleFamily, params: RateParams,
     return float(np.max(np.abs(out_rate * prob - inflow)))
 
 
-def detailed_balance_residual(family: FeasibleFamily, params: RateParams,
-                              q: SteadyState) -> float:
-    """Max absolute violation of pairwise detailed balance over chain edges."""
-    prob, _, up, flipped = _law(family, params, q)
-    gap = params.mu[:, None] * flipped - params.lam[:, None] * prob
-    return float(np.max(np.abs(np.where(up, gap, 0.0)), initial=0.0))
-
-
 def expected_throughput(family: FeasibleFamily, params: RateParams) -> np.ndarray:
     """Per-link stationary activity probability (long-run throughput)."""
     return steady_state(family, params).throughput()

@@ -3,12 +3,14 @@
 Each function walks the feasible family one set and one link at a time, in
 the order the engine's floats must follow: a state's log weight and each
 link's throughput are ascending left folds from ``0.0``.  The tests compare
-the array engine with these bit for bit.
+the array engine with these bit for bit.  The module also keeps
+``detailed_balance_residual``, a check of the law that only the tests use.
 """
 
 import numpy as np
 
 from csma_sic import FeasibleFamily, compile_network
+from csma_sic.ctmc import _law
 from csma_sic.setspace import bit_ids
 
 
@@ -80,3 +82,12 @@ def throughput(family, probs) -> np.ndarray:
         for i in bit_ids(bits):
             tau[i] += p
     return np.array(tau)
+
+
+def detailed_balance_residual(family, params, q) -> float:
+    """Max absolute violation of pairwise detailed balance over chain edges:
+    ``mu_i p(S + i) = lambda_i p(S)`` for each member S and link i that can
+    join it.  It refuses what ``ctmc.global_balance_residual`` refuses."""
+    prob, _, up, flipped = _law(family, params, q)
+    gap = params.mu[:, None] * flipped - params.lam[:, None] * prob
+    return float(np.max(np.abs(np.where(up, gap, 0.0)), initial=0.0))

@@ -15,13 +15,14 @@ import yaml
 
 from csma_sic import (AdaptConfig, LinkSet, RateParams, SimConfig, TxTable,
                       adapt_run, build_channel_matrix, capacity_contains,
-                      check_all_feasible, detailed_balance_residual,
-                      empirical_throughput, enumerate_feasible,
-                      expected_throughput, global_balance_residual,
-                      is_independent, run, steady_state, warm_coeff_table)
+                      check_all_feasible, empirical_throughput,
+                      enumerate_feasible, expected_throughput,
+                      global_balance_residual, is_independent, run,
+                      steady_state, warm_coeff_table)
 from csma_sic._kernel import decode_feasible
 from csma_sic.cli import main as cli_main
 from conftest import random_topology, triangle_topology
+from scalar_reference import detailed_balance_residual
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -15,7 +15,7 @@ from csma_sic import LinkSet, ScenarioError, dump_scenario, load_scenario
 from csma_sic.cli import _set_names, main
 from csma_sic import scenario
 from csma_sic.scenario import _LOADER, _read_yaml, parse_scenario
-from conftest import triangle_topology
+from conftest import random_topology, triangle_topology
 
 ROOT = Path(__file__).resolve().parent.parent
 COMMITTED_SCENARIOS = sorted(ROOT.glob("scenarios/*.yaml")) + sorted(
@@ -636,6 +636,22 @@ class TestCli:
         assert len(occupied) > 100
         assert all(r["analytical"] for r in occupied)
         assert len([r for r in rows if r["quantity"] == "occupancy"]) == 252
+
+    def test_partial_range_above_the_cap(self, capsys):
+        # the topology its header names, drawn again; analyze refuses it and
+        # a short simulate runs
+        path = ROOT / "scenarios" / "sparse-k50.yaml"
+        topo = load_scenario(path).topology
+        drawn = random_topology(np.random.default_rng(1), 50, radius=6.0,
+                                area=20.0 * np.sqrt(50 / 16))
+        assert (topo.nodes, topo.links, topo.phy) == (
+            drawn.nodes, drawn.links, drawn.phy)
+        assert main(["analyze", str(path)]) == 2
+        assert "enumeration cap" in capsys.readouterr().err
+        assert main(["simulate", str(path), "--horizon", "20"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "tau 49: empirical=" in captured.out
 
     @pytest.mark.parametrize("section, value", [
         ("sim", {"seed": None}),

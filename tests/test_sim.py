@@ -928,9 +928,85 @@ class TestPairRows:
             assert sim._pair_bound(mask) == expected
 
 
+def full_state(sim):
+    """Everything a run carries from one event to the next, the caches
+    aside."""
+    return (sim.now, sim.active, sim.counting, sim.busy, sim.completed,
+            sim._completed_total, sim.occupancy, sim.due, sim.remaining,
+            sim._counted, sim._draw, sim._resumed_at)
+
+
+def assert_caches_within(sim, cap):
+    """No cache holds more than ``cap`` entries, the count of transitions
+    is exact, and every noted transition's target has its frontier stored:
+    the transition cache is emptied whenever the frontier cache is."""
+    for cache in (sim._indep_cache, sim._frontier_cache):
+        assert len(cache) <= cap, sim.now
+    noted = sum(len(seen) for seen in sim._transitions)
+    assert noted == sim._transition_count <= cap, sim.now
+    for link, seen in enumerate(sim._transitions):
+        for source in seen:
+            assert source ^ 1 << link in sim._frontier_cache, sim.now
+    assert sim.active in sim._frontier_cache
+
+
+class TestTransitionReplay:
+    """A replayed transition leaves the state a miss leaves, bit for bit:
+    a run equals its twin whose transition cache is emptied before every
+    epoch, so that the twin replays only what repeats within one epoch.
+    Each record holds what judging its event afresh gives."""
+
+    def _assert_twins(self, topo, channel, seed, step, horizon):
+        sim = Simulator(topo, channel, seed=seed, warmup=step)
+        twin = Simulator(topo, channel, seed=seed, warmup=step)
+        for t in np.arange(step, horizon + step / 2, step):
+            for seen in twin._transitions:
+                seen.clear()
+            twin._transition_count = 0
+            sim.advance(float(t))
+            twin.advance(float(t))
+            assert full_state(twin) == full_state(sim), sim.now
+        for mine, theirs in zip(sim._draws, twin._draws):
+            assert next(mine) == next(theirs)
+        records = {(link, source): record
+                   for link, seen in enumerate(sim._transitions)
+                   for source, record in seen.items() if record}
+        assert records
+        for (link, source), (target, front, flipped, members) in (
+                records.items()):
+            bit = 1 << link
+            before = oracle_frontier(topo, channel, source)
+            assert target == source ^ bit
+            assert front == oracle_frontier(topo, channel, target)
+            if source & bit:  # an end resumes the links it lets in
+                assert sum(1 << i for i in flipped) == front & ~(before | bit)
+            else:  # a start suspends the links it shuts out
+                assert sum(1 << i for i in flipped) == before & ~(front | bit)
+            assert sorted(members) == list(bit_ids(target))
+        return len(records)
+
+    def test_triangle(self, triangle):
+        assert self._assert_twins(*triangle, seed=1, step=0.5,
+                                  horizon=500.0) == 18
+
+    def test_sparse_k10(self):
+        scn = load_scenario(ROOT / "scenarios" / "sparse-k10.yaml")
+        self._assert_twins(scn.topology, scn.channel, seed=1, step=0.25,
+                           horizon=300.0)
+
+    def test_sparse_range_k25(self):
+        # TestSparseRange's "k25" topology
+        topo = random_topology(np.random.default_rng(7), 25, radius=6.0,
+                               area=20.0)
+        assert has_out_of_range_pair(topo)
+        self._assert_twins(topo, build_channel_matrix(topo), seed=0,
+                           step=0.25, horizon=100.0)
+
+
 class TestCacheCap:
-    """Emptying the verdict caches when one fills changes no verdict: the
-    run is the same and no cache ends above the cap."""
+    """Emptying the caches when one fills changes no verdict: the run is
+    the same, no cache ends above the cap, and the transition cache is
+    emptied with the other two."""
 
     def test_k100_small_cap(self, monkeypatch):
         topo = random_topology(np.random.default_rng(1), 100)
@@ -940,16 +1016,46 @@ class TestCacheCap:
         assert len(default._indep_cache) > 4 * 256
         monkeypatch.setattr(sim_module, "_CACHE_CAP", 256)
         capped = Simulator(topo, channel, seed=1, warmup=5.0)
+        noted = 0
         for t in range(1, 61):
             capped.advance(float(t))
-            for cache in (capped._indep_cache, capped._frontier_cache):
-                assert len(cache) <= 256, capped.now
-            assert capped.active in capped._frontier_cache
+            assert_caches_within(capped, 256)
+            noted = max(noted, capped._transition_count)
+        assert noted > 0
         assert capped.occupancy == default.occupancy
         assert capped.busy == default.busy
         assert capped.completed == default.completed
         assert (capped.completed_total.tolist()
                 == default.completed_total.tolist())
+
+    def test_full_transition_cache_empties_all(self, monkeypatch):
+        """On a small family the transition cache fills before the other
+        two; it then takes no more entries, and the next frontier miss
+        empties all three."""
+        rng = np.random.default_rng(5)
+        topo = random_topology(rng, int(rng.integers(4, 8)))
+        channel = build_channel_matrix(topo)
+        cap = len(enumerate_feasible(topo, channel)) + 2
+        default = Simulator(topo, channel, seed=1)
+        default.advance(300.0)
+        monkeypatch.setattr(sim_module, "_CACHE_CAP", cap)
+        judge = Simulator._frontier
+        emptied = []
+
+        def frontier(sim, *args):
+            if (sim._transition_count >= cap
+                    and len(sim._frontier_cache) < cap
+                    and len(sim._indep_cache) < cap):
+                emptied.append(sim.now)
+            return judge(sim, *args)
+
+        monkeypatch.setattr(Simulator, "_frontier", frontier)
+        capped = Simulator(topo, channel, seed=1)
+        for t in range(1, 301):
+            capped.advance(float(t))
+            assert_caches_within(capped, cap)
+        assert len(emptied) > 1
+        assert full_state(capped) == full_state(default)
 
 
 class TestInitialCaches:
@@ -1028,6 +1134,35 @@ class TestProtocolErrors:
         sim = Simulator(*triangle, seed=4)
         sim.advance(10.0)
         t, link = advance_to_expiry(sim)
+        sim._draw[link] += 1e-3
+        with pytest.raises(ProtocolError, match="lost time"):
+            sim.advance(t + 10.0)
+        assert sim.now == t
+        assert sim.active >> link & 1
+
+    @staticmethod
+    def _replayed_expiry(triangle):
+        """A triangle run long enough that each of its 18 transitions has a
+        record, stopped before an expiry, so that the event is replayed."""
+        sim = Simulator(*triangle, seed=4)
+        sim.advance(200.0)
+        records = [r for seen in sim._transitions for r in seen.values()]
+        assert len(records) == 18 and all(records)
+        t, link = advance_to_expiry(sim)
+        assert sim._transitions[link][sim.active]
+        return sim, t, link
+
+    def test_replayed_expiry_while_infeasible(self, triangle):
+        sim, t, link = self._replayed_expiry(triangle)
+        active = sim.active
+        sim.counting &= ~(1 << link)
+        with pytest.raises(ProtocolError, match="expired while infeasible"):
+            sim.advance(t + 10.0)
+        assert sim.now == t
+        assert sim.active == active
+
+    def test_replayed_backoff_loses_time(self, triangle):
+        sim, t, link = self._replayed_expiry(triangle)
         sim._draw[link] += 1e-3
         with pytest.raises(ProtocolError, match="lost time"):
             sim.advance(t + 10.0)
