@@ -17,6 +17,7 @@ import numpy as np
 
 from .ctmc import RateParams
 from .phy import ChannelMatrix, NetworkTopology, real_array
+from .setspace import FeasibleFamily
 from .sim import Simulator
 
 R_CAP = 25.0  # upper clamp on every exponent r
@@ -103,7 +104,8 @@ def update_rates(r_prev, alpha: float, lambda_emp, tau_emp) -> np.ndarray:
 
 
 def adapt_run(topology: NetworkTopology, channel: ChannelMatrix,
-              cfg: AdaptConfig, mu=None, seed: int = 0) -> AdaptTrace:
+              cfg: AdaptConfig, mu=None, seed: int = 0,
+              family: FeasibleFamily = None) -> AdaptTrace:
     """Alternate simulation epochs with rate updates; divergence is data.
 
     Every exponent starts at r = 0.  Arrivals are virtual: a deterministic
@@ -112,7 +114,9 @@ def adapt_run(topology: NetworkTopology, channel: ChannelMatrix,
     services, floored at zero.  The links hold the channel for the service
     rates ``mu``, or for unit time when it is None.  The update takes the
     arrival and service rates in busy time, divided by ``mu``; the trace
-    keeps them in packets.  ``seed`` seeds the simulator.  The PHY is
+    keeps them in packets.  ``seed`` seeds the simulator, and ``family``,
+    the network's ``enumerate_feasible``, its frontier cache (see
+    ``Simulator``), which changes no value of the trace.  The PHY is
     ``topology.phy``.
     """
     k = topology.n_links
@@ -121,7 +125,8 @@ def adapt_run(topology: NetworkTopology, channel: ChannelMatrix,
         raise ValueError("target_rates must have one entry per link")
     r = np.zeros(k)
     params = RateParams(r, mu)
-    sim = Simulator(topology, channel, params=params, seed=seed)
+    sim = Simulator(topology, channel, params=params, seed=seed,
+                    family=family)
     queues = np.zeros(k)
     arrears = np.zeros(k)  # fractional arrivals carried across epochs
     served_before = sim.completed_total  # a fresh array on each read

@@ -71,18 +71,27 @@ def cmd_analyze(scn: Scenario, out=None) -> int:
     return 0
 
 
+def _family(scn: Scenario):
+    """The scenario's feasible family, or None above the enumeration cap."""
+    try:
+        return enumerate_feasible(scn.topology, scn.channel)
+    except EnumerationCapError:
+        return None
+
+
 def cmd_simulate(scn: Scenario, out=None) -> int:
-    stats = sim.run(scn.topology, scn.channel, scn.sim)
+    # one family seeds the simulator and gives the analytical column
+    family = _family(scn)
+    stats = sim.run(scn.topology, scn.channel, scn.sim, family=family)
     emp_tau = sim.empirical_throughput(stats)
     occ = stats.occupancy_fractions()
     k = scn.topology.n_links
-    try:
-        family = enumerate_feasible(scn.topology, scn.channel)
+    if family is None:
+        tau, ana_occ = [None] * k, {}
+    else:
         q = ctmc.steady_state(family, scn.params)
         tau = q.throughput().tolist()
         ana_occ = dict(zip(family.sets.tolist(), q.probs.tolist()))
-    except EnumerationCapError:
-        tau, ana_occ = [None] * k, {}
     masks = sorted(occ.keys() | ana_occ.keys())
     rows = _rows("occupancy", _set_names(masks, k),
                  [ana_occ.get(bits) for bits in masks],
@@ -123,8 +132,8 @@ def cmd_adapt(scn: Scenario, out=None) -> int:
     if scn.adapt is None:
         print("error: scenario has no 'adapt' section", file=sys.stderr)
         return 2
-    try:
-        family = enumerate_feasible(scn.topology, scn.channel)
+    family = _family(scn)
+    if family is not None:
         # the region holds busy-time fractions: a link served at rate x
         # is busy x / mu of the time
         ok, _ = setspace.capacity_contains(
@@ -132,10 +141,9 @@ def cmd_adapt(scn: Scenario, out=None) -> int:
         if not ok:
             print("warning: target rates are outside the capacity region; "
                   "expect growing queues")
-    except EnumerationCapError:
-        pass
     trace = adapt_mod.adapt_run(scn.topology, scn.channel, scn.adapt,
-                                mu=scn.params.mu, seed=scn.sim.seed)
+                                mu=scn.params.mu, seed=scn.sim.seed,
+                                family=family)
     k, n = scn.topology.n_links, len(trace.times)
     tail = trace.tau_emp[-max(1, n // 4):].mean(axis=0).tolist()
     slopes = trace.queue_slopes().tolist()

@@ -12,12 +12,12 @@ import pytest
 import scipy.stats
 import yaml
 
-from csma_sic import (ChannelMatrix, NetworkTopology, Link, LinkSet, Node,
-                      PhyConfig, RateParams, SimConfig, Simulator, TxTable,
-                      build_channel_matrix, check_feasible,
-                      empirical_throughput, enumerate_feasible,
-                      expected_throughput, is_independent, load_scenario, run,
-                      steady_state, warm_coeff_table)
+from csma_sic import (ChannelMatrix, FeasibleFamily, NetworkTopology, Link,
+                      LinkSet, Node, PhyConfig, RateParams, SimConfig,
+                      Simulator, TxTable, adapt_run, build_channel_matrix,
+                      check_feasible, empirical_throughput,
+                      enumerate_feasible, expected_throughput, is_independent,
+                      load_scenario, run, steady_state, warm_coeff_table)
 from csma_sic import sim as sim_module
 from csma_sic.cli import main as cli_main
 from csma_sic.setspace import ENUMERATION_CAP, bit_ids, compile_network
@@ -84,12 +84,13 @@ def raw_draws(monkeypatch):
     return streams
 
 
-def per_link_thresholds(rng, topo):
+def per_link_thresholds(rng, topo, **phy):
     """``topo`` with one SINR threshold per link, each drawn from
-    [0.8, 3.0], or None when a link no longer passes its own alone."""
+    [0.8, 3.0], and the other ``PhyConfig`` fields in ``phy``, or None
+    when a link no longer passes its own alone."""
     betas = tuple(float(b) for b in rng.uniform(0.8, 3.0, topo.n_links))
     topo = NetworkTopology(topo.nodes, topo.links,
-                           replace(topo.phy, sinr_threshold=betas))
+                           replace(topo.phy, sinr_threshold=betas, **phy))
     channel = build_channel_matrix(topo)
     solo = all(is_independent(LinkSet.from_ids([l.id], topo.n_links), topo,
                               channel) for l in topo.links)
@@ -610,7 +611,9 @@ class TestPinnedOutputs:
 
 class TestFrontierAgreement:
     """The simulator's local frontier equals the exact engine's frontier and
-    the receivers' table checks, in every range regime."""
+    the receivers' table checks, in every range regime.  A cold
+    simulator's ``_frontier`` of each member equals ``family.frontier``,
+    which is what lets a family seed the frontier cache."""
 
     def _assert_agree(self, topo, channel):
         family = enumerate_feasible(topo, channel)
@@ -636,6 +639,33 @@ class TestFrontierAgreement:
             partial += has_out_of_range_pair(topo)
             self._assert_agree(topo, build_channel_matrix(topo))
         assert partial > 0
+
+    @pytest.mark.parametrize("path", [
+        ROOT / "scenarios" / "sparse-k10.yaml",
+        PERFBENCH_SCENARIOS / "spread-k12.yaml"], ids=lambda p: p.stem)
+    def test_scenario_families(self, path):
+        scn = load_scenario(path)
+        self._assert_agree(scn.topology, scn.channel)
+
+    def test_varied_phy(self):
+        # per-link thresholds, partial cancellation and far interference,
+        # on all-in-range and partial-range topologies
+        rng = np.random.default_rng(959)
+        topologies = []
+        for draw in ([random_topology(rng, int(rng.integers(2, 9)))
+                      for _ in range(20)]
+                     + [sparse_topology(rng, 4, 13) for _ in range(20)]):
+            topo = per_link_thresholds(
+                rng, draw, cancel_fraction=float(rng.uniform(0.3, 0.9)),
+                far_interference=float(rng.uniform(1e-4, 3e-3)))
+            if topo is not None:
+                topologies.append(topo)
+        partial = sum(map(has_out_of_range_pair, topologies))
+        assert 5 < partial < len(topologies) - 5
+        for topo in topologies:
+            assert topo.phy.cancel_fraction < 1
+            assert topo.phy.far_interference > 0
+            self._assert_agree(topo, build_channel_matrix(topo))
 
     def test_static_reachability_is_the_family(self):
         # starting links one at a time from the empty set under the
@@ -1093,9 +1123,15 @@ class TestProtocolErrors:
     piece of state is corrupted, and leaves ``now`` at the failing event and
     ``active`` as the event left it."""
 
+    seeded = False
+
+    def simulator(self, topo, channel, seed):
+        family = enumerate_feasible(topo, channel) if self.seeded else None
+        return Simulator(topo, channel, seed=seed, family=family)
+
     def test_suspended_link_expires(self):
         topo, channel = conflict_pair()
-        sim = Simulator(topo, channel, seed=1)
+        sim = self.simulator(topo, channel, 1)
         while not sim.active:
             sim.advance(sim.now + 0.1)
         suspended = sim.due.index(math.inf)
@@ -1113,7 +1149,7 @@ class TestProtocolErrors:
         # is dependent.  Its timer is made to count and to run out with its
         # backoff counted in full, so only the independence check is left
         # to refuse the start.
-        sim = Simulator(*triangle, seed=4)
+        sim = self.simulator(*triangle, 4)
         sim.advance(10.0)
         while bin(sim.active).count("1") < 2:
             sim.advance(min(sim.due))
@@ -1131,7 +1167,7 @@ class TestProtocolErrors:
         assert not sim.counting >> link & 1
 
     def test_backoff_loses_time(self, triangle):
-        sim = Simulator(*triangle, seed=4)
+        sim = self.simulator(*triangle, 4)
         sim.advance(10.0)
         t, link = advance_to_expiry(sim)
         sim._draw[link] += 1e-3
@@ -1140,11 +1176,10 @@ class TestProtocolErrors:
         assert sim.now == t
         assert sim.active >> link & 1
 
-    @staticmethod
-    def _replayed_expiry(triangle):
+    def _replayed_expiry(self, triangle):
         """A triangle run long enough that each of its 18 transitions has a
         record, stopped before an expiry, so that the event is replayed."""
-        sim = Simulator(*triangle, seed=4)
+        sim = self.simulator(*triangle, 4)
         sim.advance(200.0)
         records = [r for seen in sim._transitions for r in seen.values()]
         assert len(records) == 18 and all(records)
@@ -1168,6 +1203,95 @@ class TestProtocolErrors:
             sim.advance(t + 10.0)
         assert sim.now == t
         assert sim.active >> link & 1
+
+
+class TestSeededProtocolErrors(TestProtocolErrors):
+    """The same corruptions raise when a family seeds the frontier cache:
+    a seeded run looks up every frontier, yet still checks each expiry and
+    each counted backoff, and a set outside the family still misses the
+    cache and fails its independence check."""
+
+    seeded = True
+
+
+SEEDED_SCENARIOS = [TRIANGLE_YAML, ROOT / "scenarios" / "sparse-k10.yaml",
+                    PERFBENCH_SCENARIOS / "spread-k12.yaml"]
+
+
+class TestFamilySeed:
+    """A simulator seeded with its network's family starts with every
+    member's frontier stored, so it never judges a set, and it runs the
+    same process as a cold one, draw for draw."""
+
+    @pytest.mark.parametrize("path, step", [
+        (TRIANGLE_YAML, 0.5), (SEEDED_SCENARIOS[1], 0.25),
+        (SEEDED_SCENARIOS[2], 0.5)], ids=lambda p: getattr(p, "stem", None))
+    def test_same_process(self, raw_draws, path, step):
+        scn = load_scenario(path)
+        family = enumerate_feasible(scn.topology, scn.channel)
+        k = scn.topology.n_links
+        cold, seeded = (Simulator(scn.topology, scn.channel,
+                                  params=scn.sim.params, seed=1, warmup=step,
+                                  family=f) for f in (None, family))
+        table = dict(zip(family.sets.tolist(), family.frontier.tolist()))
+        assert seeded._frontier_cache == table
+        verdicts = dict(seeded._indep_cache)
+        for t in np.arange(step, 100.0 + step / 2, step):
+            cold.advance(float(t))
+            seeded.advance(float(t))
+            assert full_state(seeded) == full_state(cold), cold.now
+            assert raw_draws[k:] == raw_draws[:k], cold.now
+        # the cold run judged sets; the seeded one judged none
+        assert len(cold._indep_cache) > len(verdicts)
+        assert seeded._indep_cache == verdicts
+        assert seeded._pairs == [None] * k
+        assert seeded._frontier_cache == table
+
+    @pytest.mark.parametrize("path", SEEDED_SCENARIOS[:2],
+                             ids=lambda p: p.stem)
+    def test_adapt_trace(self, path):
+        scn = load_scenario(path)
+        cfg = replace(scn.adapt, max_updates=20)
+        family = enumerate_feasible(scn.topology, scn.channel)
+        cold, seeded = (adapt_run(scn.topology, scn.channel, cfg,
+                                  mu=scn.params.mu, seed=1, family=f)
+                        for f in (None, family))
+        for name in ("times", "r", "lambda_emp", "tau_emp", "queues"):
+            assert np.array_equal(getattr(seeded, name), getattr(cold, name))
+
+    @pytest.mark.parametrize("path", SEEDED_SCENARIOS[1:],
+                             ids=lambda p: p.stem)
+    def test_family_above_cap_not_seeded(self, monkeypatch, path):
+        scn = load_scenario(path)
+        family = enumerate_feasible(scn.topology, scn.channel)
+        cold = Simulator(scn.topology, scn.channel, seed=1)
+        cold.advance(50.0)
+        monkeypatch.setattr(sim_module, "_CACHE_CAP", len(family) - 1)
+        sim = Simulator(scn.topology, scn.channel, seed=1, family=family)
+        assert sim._frontier_cache == {0: sim.counting}
+        sim.advance(50.0)
+        assert full_state(sim) == full_state(cold)
+
+    def test_wrong_width_refused(self, triangle):
+        topo = random_topology(np.random.default_rng(3), 4)
+        family = enumerate_feasible(topo, build_channel_matrix(topo))
+        with pytest.raises(ValueError, match="one bit per link"):
+            Simulator(*triangle, family=family)
+
+    def test_other_network_refused(self, triangle):
+        # the same layout with a cross gain at which no two links coexist
+        other = triangle_topology(cross_gain=0.45)
+        family = enumerate_feasible(other, build_channel_matrix(other))
+        own = enumerate_feasible(*triangle)
+        singletons = [1, 2, 4]
+        assert (family.frontier[family.find(singletons)[0]].tolist()
+                != own.frontier[own.find(singletons)[0]].tolist())
+        with pytest.raises(ValueError, match="network's independent sets"):
+            Simulator(*triangle, family=family)
+
+    def test_family_without_a_singleton_refused(self, triangle):
+        with pytest.raises(ValueError, match="network's independent sets"):
+            Simulator(*triangle, family=FeasibleFamily([0, 1, 2, 3], 3))
 
 
 class TestSparseRange:
