@@ -23,15 +23,8 @@ A run given the network's family, as ``enumerate_feasible`` finds it,
 starts with the frontier of every member stored, ``FeasibleFamily.frontier``
 by the same definition, and so never judges a set: a fresh run on
 spread-k12 (seed 1001, horizon 50) otherwise misses the frontier cache on
-76% of its events.
-Beside the verdict per set and the frontier per active set, a third
-cache holds, per link and active set, what that link's event computed:
-a transition seen again replays this record instead of looking up the
-frontier and walking the flipped timers.  Transitions repeat where the
-family is small (triangle: 12,672 events over 18 distinct transitions,
-seed 1001, horizon 5e3) and hardly at all where it is large (dense-k25:
-10 of 428 seen twice; spread-k12: 14 of 495; partial range at K = 100:
-13,146 distinct in 13,152 events), so only a repeat stores a record.
+76% of its events.  Every event takes one path, through two caches: the
+verdict per set and the frontier per active set.
 The event queue is one due time per link; the earliest goes next, the
 lowest link id among equal ones.  The run is deterministic given the
 seed, with one random stream per link, so the order of simultaneous
@@ -61,10 +54,10 @@ from .setspace import is_independent  # noqa: F401
 # every link's buffer in ``Simulator.__init__`` stays cheap.
 _BUFFER = 64
 
-# Entries one cache may hold before all three are emptied.  A benchmark
-# run stays far below it (about 3k verdicts on dense-k25); at K = 100 all
-# in range the caches would otherwise grow by about 140k verdicts per
-# second of wall time, and most are never read again.
+# Entries one verdict cache may hold before both are emptied.  A
+# benchmark run stays far below it (about 3k verdicts on dense-k25); at
+# K = 100 all in range the caches would otherwise grow by about 140k
+# verdicts per second of wall time, and most are never read again.
 _CACHE_CAP = 1 << 17
 
 
@@ -163,32 +156,20 @@ class Simulator:
     family it equals ``FeasibleFamily.frontier``.
 
     ``family``, if given, is the network's family of independent sets, as
-    ``enumerate_feasible`` finds it.  One of another width, or whose pair
-    rows (the frontiers of its singletons) differ from the compiled
-    network's, raises ``ValueError``.  With at most ``_CACHE_CAP`` members
-    it seeds ``_frontier_cache`` with every member's frontier.  A run can
-    reach only members, so a seeded run never misses that cache: it never
-    calls ``joins``, fills no pair row, and makes no independence check,
-    since every stored frontier belongs to a set enumeration has proven
-    independent.  The frontiers are the ones judging would store, so the
-    run is the same, draw for draw, with or without ``family``.
+    ``enumerate_feasible`` finds it.  A family of another width, one whose
+    pair rows (the frontiers of its singletons) differ from the network's,
+    or one with a dependent member raises ``ValueError``; only its maximal
+    members are judged, as every member lies within one and independence
+    is downward closed.  With at most ``_CACHE_CAP`` members it seeds
+    ``_frontier_cache`` with every member's frontier.  A run can reach
+    only members, so a seeded run never misses that cache: it never calls
+    ``joins``, fills no pair row, and makes no independence check.  The
+    frontiers are the ones judging would store, so the run is the same,
+    draw for draw, with or without ``family``.
 
-    Three caches, emptied together when one reaches ``_CACHE_CAP``
-    entries, keep what events computed: ``_indep_cache`` the verdict per
-    mask, ``_frontier_cache`` the frontier per active set, and
-    ``_transitions[l]`` per active set S the record of link l's event in S:
-    the next active set, its frontier, the ids of the timers the event
-    resumes or suspends, and the next active links as a tuple.  An event
-    with a record replays it; the others look up or judge the frontier and
-    walk the flipped timers.  A record is stored on a transition's second
-    traversal into a set with a stored frontier; the first leaves the
-    sentinel 0, and a traversal into a new set, which cannot be a repeat,
-    leaves nothing.  So where transitions do not repeat (dense-k25,
-    spread-k12 and partial range, see the module docstring) the cache holds
-    a few sentinels and no records; once it holds ``_CACHE_CAP`` of them it
-    takes no more until the next frontier miss empties the caches.
-
-    On a frontier miss
+    Two caches, emptied together when one reaches ``_CACHE_CAP`` entries,
+    keep the verdicts: ``_indep_cache`` the verdict per mask and
+    ``_frontier_cache`` the frontier per active set.  On a frontier miss
     the new frontier is bounded by ``counting``, by the pair rows
     ``_pairs[j]``, the frontier of ``{j}`` judged the first time a miss
     needs it, and by the compiled network's interaction masks: when c
@@ -200,12 +181,11 @@ class Simulator:
     Each event checks that an expiring timer was counting, that a started
     set without a stored frontier is independent, by its cached verdict
     or the compiled ``independent`` (every stored frontier, judged or
-    seeded, and so every record's target, belongs to a set proven
-    independent), and that the counted backoff equals its draw to 1e-6;
-    a replay, and every event of a seeded run, makes the first and the
-    last check too.  A failed check raises ``ProtocolError`` with
-    ``now`` at the event.  The PHY is ``topology.phy``; a ``phy`` given
-    must equal it.
+    seeded, belongs to a set proven independent), and that the counted
+    backoff equals its draw to 1e-6; every event of a seeded run makes the
+    first and the last check too.  A failed check raises ``ProtocolError``
+    with ``now`` at the event.  The PHY is ``topology.phy``; a ``phy``
+    given must equal it.
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
@@ -241,8 +221,6 @@ class Simulator:
         if family is not None:
             self._seed_frontiers(family, k)
         self._indep_cache = dict.fromkeys((1 << i for i in range(k)), True)
-        self._transitions = [{} for _ in range(k)]
-        self._transition_count = 0  # entries in ``_transitions``
 
         self._draws = [
             _exponentials(np.random.Generator(np.random.PCG64(
@@ -266,16 +244,19 @@ class Simulator:
 
     def _seed_frontiers(self, family: FeasibleFamily, k: int) -> None:
         """Start ``_frontier_cache`` as ``family``'s frontier table, after
-        checking its width and pair rows against the ``k``-link network.
-        A family of more than ``_CACHE_CAP`` members is checked only."""
+        checking it against the ``k``-link network (see ``Simulator``); a
+        family of more than ``_CACHE_CAP`` members is checked only."""
         if family.width != k:
             raise ValueError("family must have one bit per link")
         singletons = np.left_shift(1, np.arange(k, dtype=np.int64))
         at, found = family.find(singletons)
-        joins = self._network.joins
+        network = self._network
         if not (found.all() and family.frontier[at].tolist() == [
-                joins(1 << j, self._all, {}) for j in range(k)]):
+                network.joins(1 << j, self._all, {}) for j in range(k)]):
             raise ValueError("family is not the network's independent sets")
+        if not all(map(network.independent,
+                       family.sets[family.frontier == 0].tolist())):
+            raise ValueError("family holds a set that is not independent")
         if len(family) <= _CACHE_CAP:
             self._frontier_cache = dict(zip(family.sets.tolist(),
                                             family.frontier.tolist()))
@@ -301,21 +282,17 @@ class Simulator:
         taken as in, those outside ``maybe`` as out, and only the rest are
         judged, by one ``joins`` call through ``_indep_cache``.  Unbounded,
         every link outside ``mask`` is judged.  The frontier is stored in
-        ``_frontier_cache`` after all three caches are emptied if one has
+        ``_frontier_cache`` after both caches are emptied if either has
         reached ``_CACHE_CAP`` entries; they are emptied in place, as
-        ``advance`` holds them or their bound ``get``.
+        ``advance`` holds their bound ``get``.
         """
         if maybe is None:
             maybe = self._all
         verdicts, fronts = self._indep_cache, self._frontier_cache
         front |= self._network.joins(mask, maybe & ~front, verdicts)
-        if (len(fronts) >= _CACHE_CAP or len(verdicts) >= _CACHE_CAP
-                or self._transition_count >= _CACHE_CAP):
+        if len(fronts) >= _CACHE_CAP or len(verdicts) >= _CACHE_CAP:
             verdicts.clear()
             fronts.clear()
-            for records in self._transitions:
-                records.clear()
-            self._transition_count = 0
         fronts[mask] = front
         return front
 
@@ -348,20 +325,17 @@ class Simulator:
         that flipped.  The family is downward closed, so an end only widens
         the frontier: it resumes the ended link's fresh backoff at once and
         walks only the links it let in.  A start only narrows it and walks
-        only the links it shut out.  A transition with a record skips the
-        lookup and the walk: it takes the next set, frontier and members
-        from the record and flips the timers it names.  A lookup misses,
-        and a frontier is judged, only for a set outside the stored ones:
-        never in a run seeded with its family (see ``Simulator``).  The
-        state lives in locals, the active links also as ``members``: a
-        list that a miss edits, or after a replay the record's tuple,
-        which the next miss copies first.  ``now``, ``active`` and ``counting`` are written
-        back on the way out, also when a ``ProtocolError`` ends it.
+        only the links it shut out.  A lookup misses, and a frontier is
+        judged, only for a set outside the stored ones: never in a run
+        seeded with its family (see ``Simulator``).  The state lives in
+        locals, the active links also as the list ``members``; ``now``,
+        ``active`` and ``counting`` are written back on the way out, also
+        when a ``ProtocolError`` ends it.
         """
         if not _finite(until) or until < self.now:
             raise ValueError("advance needs a finite time no earlier than now")
         now, active, counting = self.now, self.active, self.counting
-        members, owned = list(bit_ids(active)), True
+        members = list(bit_ids(active))
         warmup, due, remaining = self.warmup, self.due, self.remaining
         drawn, counted, resumed = self._draw, self._counted, self._resumed_at
         busy, occupancy = self.busy, self.occupancy
@@ -370,7 +344,6 @@ class Simulator:
         backoff_scale = self._backoff_scale
         frontier_of = self._frontier_cache.get
         independent_of = self._indep_cache.get
-        transitions = self._transitions
         judge, pairs, pair_bound = self._frontier, self._pairs, self._pair_bound
         independent = self._network.independent
         interacts = self._network.interacts
@@ -386,7 +359,6 @@ class Simulator:
                         busy[i] += dt
                 now = t
                 bit = 1 << link
-                record = transitions[link].get(active)
                 if active & bit:
                     # completion: the link counts a fresh backoff at once
                     completed_total[link] += 1
@@ -397,17 +369,7 @@ class Simulator:
                     counted[link] = 0.0
                     due[link] = now + b
                     resumed[link] = now
-                    if record:
-                        active, counting, flipped, members = record
-                        owned = False
-                        if flipped:
-                            for i in flipped:
-                                due[i] = now + remaining[i]
-                                resumed[i] = now
-                        continue
                     active ^= bit
-                    if not owned:
-                        members, owned = list(members), True
                     members.remove(link)
                     front = frontier_of(active)
                     if front is None:
@@ -422,16 +384,6 @@ class Simulator:
                                 row = pair_bound(1 << j)
                             bound &= row
                         front = judge(active, counting | bit, bound)
-                    elif record is None:
-                        # a known target: the transition may be seen again
-                        if self._transition_count < _CACHE_CAP:
-                            self._transition_count += 1
-                            transitions[link][active ^ bit] = 0
-                    else:
-                        transitions[link][active ^ bit] = (
-                            active, front,
-                            tuple(bit_ids(front & ~(counting | bit))),
-                            tuple(members))
                     started = front & ~(counting | bit)
                     while started:
                         low = started & -started
@@ -444,26 +396,12 @@ class Simulator:
                     if not counting & bit:
                         raise ProtocolError(
                             f"timer of link {link} expired while infeasible")
-                    if record:
-                        active, counting, flipped, members = record
-                        owned = False
-                    else:
-                        active |= bit
-                        counting ^= bit
+                    active |= bit
+                    counting ^= bit
                     counted[link] += now - resumed[link]
                     if abs(counted[link] - drawn[link]) > 1e-6:
                         raise ProtocolError("backoff bookkeeping lost time "
                                             "across suspend/resume")
-                    if record:
-                        due[link] = now + hold_scale[link] * next(draws[link])
-                        if flipped:
-                            for i in flipped:
-                                remaining[i] = due[i] - now
-                                due[i] = inf
-                                counted[i] += now - resumed[i]
-                        continue
-                    if not owned:
-                        members, owned = list(members), True
                     members.append(link)
                     front = frontier_of(active)
                     if front is None:
@@ -482,14 +420,6 @@ class Simulator:
                             row = pair_bound(bit)
                         front = judge(active, counting & ~interacts[link],
                                       counting & row)
-                    elif record is None:
-                        if self._transition_count < _CACHE_CAP:
-                            self._transition_count += 1
-                            transitions[link][active ^ bit] = 0
-                    else:
-                        transitions[link][active ^ bit] = (
-                            active, front, tuple(bit_ids(counting & ~front)),
-                            tuple(members))
                     due[link] = now + hold_scale[link] * next(draws[link])
                     stopped = counting & ~front
                     while stopped:

@@ -967,76 +967,16 @@ def full_state(sim):
 
 
 def assert_caches_within(sim, cap):
-    """No cache holds more than ``cap`` entries, the count of transitions
-    is exact, and every noted transition's target has its frontier stored:
-    the transition cache is emptied whenever the frontier cache is."""
+    """No cache holds more than ``cap`` entries, and the active set's
+    frontier is stored."""
     for cache in (sim._indep_cache, sim._frontier_cache):
         assert len(cache) <= cap, sim.now
-    noted = sum(len(seen) for seen in sim._transitions)
-    assert noted == sim._transition_count <= cap, sim.now
-    for link, seen in enumerate(sim._transitions):
-        for source in seen:
-            assert source ^ 1 << link in sim._frontier_cache, sim.now
     assert sim.active in sim._frontier_cache
-
-
-class TestTransitionReplay:
-    """A replayed transition leaves the state a miss leaves, bit for bit:
-    a run equals its twin whose transition cache is emptied before every
-    epoch, so that the twin replays only what repeats within one epoch.
-    Each record holds what judging its event afresh gives."""
-
-    def _assert_twins(self, topo, channel, seed, step, horizon):
-        sim = Simulator(topo, channel, seed=seed, warmup=step)
-        twin = Simulator(topo, channel, seed=seed, warmup=step)
-        for t in np.arange(step, horizon + step / 2, step):
-            for seen in twin._transitions:
-                seen.clear()
-            twin._transition_count = 0
-            sim.advance(float(t))
-            twin.advance(float(t))
-            assert full_state(twin) == full_state(sim), sim.now
-        for mine, theirs in zip(sim._draws, twin._draws):
-            assert next(mine) == next(theirs)
-        records = {(link, source): record
-                   for link, seen in enumerate(sim._transitions)
-                   for source, record in seen.items() if record}
-        assert records
-        for (link, source), (target, front, flipped, members) in (
-                records.items()):
-            bit = 1 << link
-            before = oracle_frontier(topo, channel, source)
-            assert target == source ^ bit
-            assert front == oracle_frontier(topo, channel, target)
-            if source & bit:  # an end resumes the links it lets in
-                assert sum(1 << i for i in flipped) == front & ~(before | bit)
-            else:  # a start suspends the links it shuts out
-                assert sum(1 << i for i in flipped) == before & ~(front | bit)
-            assert sorted(members) == list(bit_ids(target))
-        return len(records)
-
-    def test_triangle(self, triangle):
-        assert self._assert_twins(*triangle, seed=1, step=0.5,
-                                  horizon=500.0) == 18
-
-    def test_sparse_k10(self):
-        scn = load_scenario(ROOT / "scenarios" / "sparse-k10.yaml")
-        self._assert_twins(scn.topology, scn.channel, seed=1, step=0.25,
-                           horizon=300.0)
-
-    def test_sparse_range_k25(self):
-        # TestSparseRange's "k25" topology
-        topo = random_topology(np.random.default_rng(7), 25, radius=6.0,
-                               area=20.0)
-        assert has_out_of_range_pair(topo)
-        self._assert_twins(topo, build_channel_matrix(topo), seed=0,
-                           step=0.25, horizon=100.0)
 
 
 class TestCacheCap:
     """Emptying the caches when one fills changes no verdict: the run is
-    the same, no cache ends above the cap, and the transition cache is
-    emptied with the other two."""
+    the same, and no cache ends above the cap."""
 
     def test_k100_small_cap(self, monkeypatch):
         topo = random_topology(np.random.default_rng(1), 100)
@@ -1046,47 +986,14 @@ class TestCacheCap:
         assert len(default._indep_cache) > 4 * 256
         monkeypatch.setattr(sim_module, "_CACHE_CAP", 256)
         capped = Simulator(topo, channel, seed=1, warmup=5.0)
-        noted = 0
         for t in range(1, 61):
             capped.advance(float(t))
             assert_caches_within(capped, 256)
-            noted = max(noted, capped._transition_count)
-        assert noted > 0
         assert capped.occupancy == default.occupancy
         assert capped.busy == default.busy
         assert capped.completed == default.completed
         assert (capped.completed_total.tolist()
                 == default.completed_total.tolist())
-
-    def test_full_transition_cache_empties_all(self, monkeypatch):
-        """On a small family the transition cache fills before the other
-        two; it then takes no more entries, and the next frontier miss
-        empties all three."""
-        rng = np.random.default_rng(5)
-        topo = random_topology(rng, int(rng.integers(4, 8)))
-        channel = build_channel_matrix(topo)
-        cap = len(enumerate_feasible(topo, channel)) + 2
-        default = Simulator(topo, channel, seed=1)
-        default.advance(300.0)
-        monkeypatch.setattr(sim_module, "_CACHE_CAP", cap)
-        judge = Simulator._frontier
-        emptied = []
-
-        def frontier(sim, *args):
-            if (sim._transition_count >= cap
-                    and len(sim._frontier_cache) < cap
-                    and len(sim._indep_cache) < cap):
-                emptied.append(sim.now)
-            return judge(sim, *args)
-
-        monkeypatch.setattr(Simulator, "_frontier", frontier)
-        capped = Simulator(topo, channel, seed=1)
-        for t in range(1, 301):
-            capped.advance(float(t))
-            assert_caches_within(capped, cap)
-        assert len(emptied) > 1
-        assert full_state(capped) == full_state(default)
-
 
 class TestInitialCaches:
     @pytest.mark.parametrize("path", [
@@ -1176,35 +1083,6 @@ class TestProtocolErrors:
         assert sim.now == t
         assert sim.active >> link & 1
 
-    def _replayed_expiry(self, triangle):
-        """A triangle run long enough that each of its 18 transitions has a
-        record, stopped before an expiry, so that the event is replayed."""
-        sim = self.simulator(*triangle, 4)
-        sim.advance(200.0)
-        records = [r for seen in sim._transitions for r in seen.values()]
-        assert len(records) == 18 and all(records)
-        t, link = advance_to_expiry(sim)
-        assert sim._transitions[link][sim.active]
-        return sim, t, link
-
-    def test_replayed_expiry_while_infeasible(self, triangle):
-        sim, t, link = self._replayed_expiry(triangle)
-        active = sim.active
-        sim.counting &= ~(1 << link)
-        with pytest.raises(ProtocolError, match="expired while infeasible"):
-            sim.advance(t + 10.0)
-        assert sim.now == t
-        assert sim.active == active
-
-    def test_replayed_backoff_loses_time(self, triangle):
-        sim, t, link = self._replayed_expiry(triangle)
-        sim._draw[link] += 1e-3
-        with pytest.raises(ProtocolError, match="lost time"):
-            sim.advance(t + 10.0)
-        assert sim.now == t
-        assert sim.active >> link & 1
-
-
 class TestSeededProtocolErrors(TestProtocolErrors):
     """The same corruptions raise when a family seeds the frontier cache:
     a seeded run looks up every frontier, yet still checks each expiry and
@@ -1292,6 +1170,35 @@ class TestFamilySeed:
     def test_family_without_a_singleton_refused(self, triangle):
         with pytest.raises(ValueError, match="network's independent sets"):
             Simulator(*triangle, family=FeasibleFamily([0, 1, 2, 3], 3))
+
+    def test_dependent_family_refused(self, triangle):
+        # every pair of the triangle is independent, so this family passes
+        # the pair rows, but its full set is not: a run seeded with it
+        # would occupy 0b111
+        family = FeasibleFamily(range(8), 3)
+        own = enumerate_feasible(*triangle)
+        singletons = [1, 2, 4]
+        assert (family.frontier[family.find(singletons)[0]].tolist()
+                == own.frontier[own.find(singletons)[0]].tolist())
+        with pytest.raises(ValueError, match="not independent"):
+            Simulator(*triangle, family=family)
+
+    def test_enumerated_families_accepted(self):
+        # all in range, partial range, and both with per-link thresholds,
+        # partial cancellation and far interference
+        rng = np.random.default_rng(939)
+        topologies = ([random_topology(rng, int(rng.integers(2, 9)))
+                       for _ in range(10)]
+                      + [sparse_topology(rng, 4, 13) for _ in range(10)])
+        topologies += [per_link_thresholds(rng, topo, cancel_fraction=0.5,
+                                           far_interference=1e-3)
+                       for topo in topologies]
+        assert sum(topo is not None for topo in topologies) > 20
+        for topo in filter(None, topologies):
+            channel = build_channel_matrix(topo)
+            family = enumerate_feasible(topo, channel)
+            sim = Simulator(topo, channel, family=family)
+            assert len(sim._frontier_cache) == len(family)
 
 
 class TestSparseRange:
