@@ -8,9 +8,9 @@ states are the family's int bitmasks, and the law is an array aligned with
 them.  Each step over the states is a fixed number of array operations on
 the family's (K, m) link matrix, whatever K and m are.  The log weights
 and the throughput are left folds from 0.0 in the order a loop over links
-and sets would add them (``cumsum`` along the link axis and along the set
-axis), where each absent link adds an exact ``+0.0``; so the law and the
-throughput are bit for bit those of that loop.  The balance residuals are
+and sets would add them (one vector add per link, and ``cumsum`` along the
+set axis), where each absent link adds an exact ``+0.0``; so the law and
+the throughput are bit for bit those of that loop.  The balance residuals are
 diagnostics and sum in numpy's order.
 """
 
@@ -134,9 +134,9 @@ def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
     closed, so every member is reachable from the empty set by single-link
     additions, and every member carries mass.  A state's log weight sums
     the per-link weights ``r_i - log(mu_i)`` over its members in ascending
-    link order, as a left fold from 0.0 along the link axis, where each
-    link outside the state adds an exact ``+0.0``.  (Python 3.12's ``sum``
-    of floats is compensated, so it is not that fold.)  scipy's
+    link order, as a left fold from 0.0: one vector add per link, where
+    each link outside the state adds an exact ``+0.0``.  (Python 3.12's
+    ``sum`` of floats is compensated, so it is not that fold.)  scipy's
     ``logsumexp`` is imported on the first call, not with the package.
     """
     # imported here: about 48 MB and 0.5 s that K > 20 runs never use
@@ -144,7 +144,9 @@ def steady_state(family: FeasibleFamily, params: RateParams) -> SteadyState:
 
     _check_rates(family, params)
     w = params.r - np.log(params.mu)
-    logw = _left_fold(np.where(family.links(), w[:, None], 0.0), axis=0)
+    logw = np.zeros(len(family))
+    for held, w_i in zip(family.links(), w.tolist()):
+        logw = logw + np.where(held, w_i, 0.0)
     if not np.isfinite(logw).all():
         raise ValueError("non-finite state weight; |r| too large")
     return SteadyState(family, np.exp(logw - logsumexp(logw)))

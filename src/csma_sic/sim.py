@@ -13,18 +13,19 @@ al., "Throughput analysis in multihop CSMA packet radio networks" (IEEE
 Trans. Commun., 1987), which hidden terminals break if the transmitter
 judges only the links it hears.  Sets are judged by
 ``setspace.compile_network``, which a scenario's topology and channel
-compile once for the loader and the simulator alike.  The verdicts for
-one active set are cached as a bitmask, its frontier, and each start or
-end of a transmission suspends or resumes only the links whose verdict it
-flipped.  A new frontier is judged in one ``joins`` call, over only the
-links the event can affect: under the veto rule a link that does not
-interact with the one that started or ended keeps its verdict exactly.
-A run given the network's family, as ``enumerate_feasible`` finds it,
-starts with the frontier of every member stored, ``FeasibleFamily.frontier``
-by the same definition, and so never judges a set: a fresh run on
-spread-k12 (seed 1001, horizon 50) otherwise misses the frontier cache on
-76% of its events.  Every event takes one path, through two caches: the
-verdict per set and the frontier per active set.
+compile once for the loader and the simulator alike.  Each set the run
+reaches has one record in a state table: its frontier, as a bitmask, and
+the time it has been occupied, so an event finds both in one lookup.  Each
+start or end of a transmission suspends or resumes only the links whose
+verdict it flipped.  A new frontier is judged in one ``joins`` call, over
+only the links the event can affect: under the veto rule a link that does
+not interact with the one that started or ended keeps its verdict
+exactly.  A run given the network's family, as ``enumerate_feasible``
+finds it, starts with a record for every member, its frontier
+``FeasibleFamily.frontier`` by the same definition, and so never judges a
+set: a fresh run on spread-k12 (seed 1001, horizon 50) otherwise judges
+one on 76% of its events.  Every event takes one path, through the state
+table and, when it judges a set, the verdict cache.
 The event queue is one due time per link; the earliest goes next, the
 lowest link id among equal ones.  The run is deterministic given the
 seed, with one random stream per link, so the order of simultaneous
@@ -37,6 +38,7 @@ bit-identical to scalar ``Generator.exponential`` draws.
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -54,21 +56,25 @@ from .setspace import is_independent  # noqa: F401
 # every link's buffer in ``Simulator.__init__`` stays cheap.
 _BUFFER = 64
 
-# Entries one verdict cache may hold before both are emptied.  A
-# benchmark run stays far below it (about 3k verdicts on dense-k25); at
-# K = 100 all in range the caches would otherwise grow by about 140k
-# verdicts per second of wall time, and most are never read again.
+# Entries the verdict cache may hold before it is emptied, and the most
+# members a seeding family may have.  A benchmark run stays far below it
+# (about 3k verdicts on dense-k25); at K = 100 all in range the verdicts
+# would otherwise grow by about 140k per second of wall time, and most are
+# never read again.  The state table is not bounded by it: it holds one
+# record per set reached, as the occupied times need.
 _CACHE_CAP = 1 << 17
 
 
 def _exponentials(rng: np.random.Generator):
     """Endless standard exponentials from ``rng``, drawn ``_BUFFER`` at a time.
 
-    ``scale * next(...)`` is bit-identical to ``rng.exponential(scale)``
-    on the same stream, which computes the same product in C.
+    A C iterator (``chain`` over ``iter(refill, None)``), so a draw resumes
+    no Python frame.  ``scale * next(...)`` is bit-identical to
+    ``rng.exponential(scale)`` on the same stream, which computes the same
+    product in C.
     """
-    while True:
-        yield from rng.standard_exponential(_BUFFER).tolist()
+    return chain.from_iterable(
+        iter(lambda: rng.standard_exponential(_BUFFER).tolist(), None))
 
 
 class ProtocolError(RuntimeError):
@@ -156,36 +162,43 @@ class Simulator:
     family it equals ``FeasibleFamily.frontier``.
 
     ``family``, if given, is the network's family of independent sets, as
-    ``enumerate_feasible`` finds it.  A family of another width, one whose
-    pair rows (the frontiers of its singletons) differ from the network's,
-    or one with a dependent member raises ``ValueError``; only its maximal
-    members are judged, as every member lies within one and independence
-    is downward closed.  With at most ``_CACHE_CAP`` members it seeds
-    ``_frontier_cache`` with every member's frontier.  A run can reach
-    only members, so a seeded run never misses that cache: it never calls
-    ``joins``, fills no pair row, and makes no independence check.  The
-    frontiers are the ones judging would store, so the run is the same,
-    draw for draw, with or without ``family``.
+    ``enumerate_feasible`` finds it.  ``ValueError`` refuses a family of
+    another width, one whose pair rows (the frontiers of its singletons)
+    differ from the network's, one with a dependent member, and one that
+    lacks an independent set.  Only its maximal members are judged for
+    independence, as every member lies within one and independence is
+    downward closed.  A missing set is found, if there is one, among the
+    sets M + c with M a member and c above M's top link, outside M's
+    stored frontier but inside the pair rows of M's links: a smallest
+    missing set is M + c for its top link c.  Those candidates are judged
+    with one verdict dict, which the run does not keep.  With at most
+    ``_CACHE_CAP`` members, the family seeds the state table with a record
+    for every member.  A run can reach only members, so a seeded run never
+    judges a set: it never calls ``joins``, fills no pair row, and makes no
+    independence check.  The frontiers are the ones judging would store,
+    so the run is the same, draw for draw, with or without ``family``.
 
-    Two caches, emptied together when one reaches ``_CACHE_CAP`` entries,
-    keep the verdicts: ``_indep_cache`` the verdict per mask and
-    ``_frontier_cache`` the frontier per active set.  On a frontier miss
-    the new frontier is bounded by ``counting``, by the pair rows
-    ``_pairs[j]``, the frontier of ``{j}`` judged the first time a miss
-    needs it, and by the compiled network's interaction masks: when c
-    starts, the counting links outside ``interacts[c]`` keep counting
-    unjudged, and when l ends, only links inside ``interacts[l]`` may
-    resume.  The links left between the bounds are judged by one
+    ``_states`` maps each set reached to its record ``[frontier, time]``:
+    the frontier, and the time occupied after ``warmup``.  It holds the
+    empty set from the start, a record is added when a set's frontier is
+    first judged, and it is never emptied.  ``occupancy`` reads the times
+    from it.  ``_indep_cache`` keeps the verdict per mask, and is emptied
+    when it reaches ``_CACHE_CAP`` entries.  When an event enters a set
+    without a record, the new frontier is bounded by ``counting``, by the
+    pair rows ``_pairs[j]``, the frontier of ``{j}`` judged the first
+    time a judgement needs it, and by the compiled network's interaction
+    masks: when c starts, the counting links outside ``interacts[c]`` keep
+    counting unjudged, and when l ends, only links inside ``interacts[l]``
+    may resume.  The links left between the bounds are judged by one
     ``joins`` call, which reads and fills ``_indep_cache``.
 
     Each event checks that an expiring timer was counting, that a started
-    set without a stored frontier is independent, by its cached verdict
-    or the compiled ``independent`` (every stored frontier, judged or
-    seeded, belongs to a set proven independent), and that the counted
-    backoff equals its draw to 1e-6; every event of a seeded run makes the
-    first and the last check too.  A failed check raises ``ProtocolError``
-    with ``now`` at the event.  The PHY is ``topology.phy``; a ``phy``
-    given must equal it.
+    set without a record is independent, by its cached verdict or the
+    compiled ``independent`` (every record, judged or seeded, belongs to a
+    set proven independent), and that the counted backoff equals its draw
+    to 1e-6; every event of a seeded run makes the first and the last
+    check too.  A failed check raises ``ProtocolError`` with ``now`` at the
+    event.  The PHY is ``topology.phy``; a ``phy`` given must equal it.
     """
 
     def __init__(self, topology: NetworkTopology, channel: ChannelMatrix,
@@ -217,9 +230,9 @@ class Simulator:
         # the empty set's frontier and the solo verdicts it rests on, as
         # judging it would store them
         self.counting = network.solo
-        self._frontier_cache = {0: network.solo}
+        self._states = {0: [network.solo, 0.0]}
         if family is not None:
-            self._seed_frontiers(family, k)
+            self._seed_states(family, k)
         self._indep_cache = dict.fromkeys((1 << i for i in range(k)), True)
 
         self._draws = [
@@ -240,26 +253,50 @@ class Simulator:
         self.busy = [0.0] * k
         self.completed = [0] * k
         self._completed_total = [0] * k
-        self.occupancy = {}
 
-    def _seed_frontiers(self, family: FeasibleFamily, k: int) -> None:
-        """Start ``_frontier_cache`` as ``family``'s frontier table, after
-        checking it against the ``k``-link network (see ``Simulator``); a
-        family of more than ``_CACHE_CAP`` members is checked only."""
+    def _seed_states(self, family: FeasibleFamily, k: int) -> None:
+        """Start ``_states`` with a record for each member of ``family``,
+        after checking it against the ``k``-link network (see
+        ``Simulator``); a family of more than ``_CACHE_CAP`` members is
+        checked only."""
         if family.width != k:
             raise ValueError("family must have one bit per link")
         singletons = np.left_shift(1, np.arange(k, dtype=np.int64))
         at, found = family.find(singletons)
         network = self._network
-        if not (found.all() and family.frontier[at].tolist() == [
-                network.joins(1 << j, self._all, {}) for j in range(k)]):
+        rows = [network.joins(1 << j, self._all, {}) for j in range(k)]
+        if not (found.all() and family.frontier[at].tolist() == rows):
             raise ValueError("family is not the network's independent sets")
         if not all(map(network.independent,
                        family.sets[family.frontier == 0].tolist())):
             raise ValueError("family holds a set that is not independent")
+        # per member, the links above its top link that may join it by the
+        # pair rows but not by the family; one of them that joins is a
+        # missing set
+        above = [row & -(2 << j) for j, row in enumerate(rows)]
+        bound = np.bitwise_and.reduce(
+            np.where(family.links(), np.array(above, dtype=np.int64)[:, None],
+                     self._all), axis=0, initial=self._all)
+        cands = bound & ~family.frontier
+        some = cands != 0
+        verdicts = {}
+        for mask, c in zip(family.sets[some].tolist(), cands[some].tolist()):
+            if network.joins(mask, c, verdicts):
+                raise ValueError("family lacks some of the network's "
+                                 "independent sets")
         if len(family) <= _CACHE_CAP:
-            self._frontier_cache = dict(zip(family.sets.tolist(),
-                                            family.frontier.tolist()))
+            self._states = {mask: [front, 0.0] for mask, front in zip(
+                family.sets.tolist(), family.frontier.tolist())}
+
+    @property
+    def occupancy(self) -> dict:
+        """Occupied time after ``warmup`` per set, keyed by bitmask.
+
+        A new dict on each read, built from the state table's records with
+        a positive time: it is read-only, and writing to it changes no run.
+        """
+        return {mask: rec[1] for mask, rec in self._states.items()
+                if rec[1] > 0.0}
 
     # -- protocol mechanics -------------------------------------------------
 
@@ -280,20 +317,21 @@ class Simulator:
 
         ``front`` and ``maybe`` bound the answer: the links in ``front`` are
         taken as in, those outside ``maybe`` as out, and only the rest are
-        judged, by one ``joins`` call through ``_indep_cache``.  Unbounded,
-        every link outside ``mask`` is judged.  The frontier is stored in
-        ``_frontier_cache`` after both caches are emptied if either has
-        reached ``_CACHE_CAP`` entries; they are emptied in place, as
-        ``advance`` holds their bound ``get``.
+        judged, by one ``joins`` call through ``_indep_cache``, which is
+        then emptied if it has reached ``_CACHE_CAP`` entries; in place, as
+        ``advance`` holds its bound ``get``.  Unbounded, every link outside
+        ``mask`` is judged.  A set without a record gets one, with the
+        frontier and no time; a set with one keeps it, time and all, as its
+        stored frontier is the same.
         """
         if maybe is None:
             maybe = self._all
-        verdicts, fronts = self._indep_cache, self._frontier_cache
+        verdicts = self._indep_cache
         front |= self._network.joins(mask, maybe & ~front, verdicts)
-        if len(fronts) >= _CACHE_CAP or len(verdicts) >= _CACHE_CAP:
+        if len(verdicts) >= _CACHE_CAP:
             verdicts.clear()
-            fronts.clear()
-        fronts[mask] = front
+        if mask not in self._states:
+            self._states[mask] = [front, 0.0]
         return front
 
     def _pair_bound(self, mask: int) -> int:
@@ -320,17 +358,19 @@ class Simulator:
         """Process all events up to the given simulation time.
 
         One pass of the loop is one event: credit the time since the last
-        event to the active links, end or start the transmission of the
-        link due first, then resume or suspend the timers whose verdict
-        that flipped.  The family is downward closed, so an end only widens
-        the frontier: it resumes the ended link's fresh backoff at once and
+        event to the active set's record and the active links, end or start
+        the transmission of the link due first, then resume or suspend the
+        timers whose verdict that flipped.  The next set's record, found in
+        one lookup, gives its frontier and takes its time at the next
+        event.  The family is downward closed, so an end only widens the
+        frontier: it resumes the ended link's fresh backoff at once and
         walks only the links it let in.  A start only narrows it and walks
         only the links it shut out.  A lookup misses, and a frontier is
-        judged, only for a set outside the stored ones: never in a run
-        seeded with its family (see ``Simulator``).  The state lives in
-        locals, the active links also as the list ``members``; ``now``,
-        ``active`` and ``counting`` are written back on the way out, also
-        when a ``ProtocolError`` ends it.
+        judged, only for a set without a record: never in a run seeded with
+        its family (see ``Simulator``).  The state lives in locals, the
+        active links also as the list ``members``; ``now``, ``active`` and
+        ``counting`` are written back on the way out, also when a
+        ``ProtocolError`` ends it.
         """
         if not _finite(until) or until < self.now:
             raise ValueError("advance needs a finite time no earlier than now")
@@ -338,23 +378,25 @@ class Simulator:
         members = list(bit_ids(active))
         warmup, due, remaining = self.warmup, self.due, self.remaining
         drawn, counted, resumed = self._draw, self._counted, self._resumed_at
-        busy, occupancy = self.busy, self.occupancy
+        busy = self.busy
         completed, completed_total = self.completed, self._completed_total
         draws, hold_scale = self._draws, self._hold_scale
         backoff_scale = self._backoff_scale
-        frontier_of = self._frontier_cache.get
+        states = self._states
+        record_of = states.get
         independent_of = self._indep_cache.get
         judge, pairs, pair_bound = self._frontier, self._pairs, self._pair_bound
         independent = self._network.independent
         interacts = self._network.interacts
         inf = math.inf
+        rec = states[active]
         try:
             while due and (t := min(due)) <= until:
                 link = due.index(t)
                 lo = now if now >= warmup else warmup
                 if t > lo:
                     dt = t - lo
-                    occupancy[active] = occupancy.get(active, 0.0) + dt
+                    rec[1] += dt
                     for i in members:
                         busy[i] += dt
                 now = t
@@ -371,8 +413,8 @@ class Simulator:
                     resumed[link] = now
                     active ^= bit
                     members.remove(link)
-                    front = frontier_of(active)
-                    if front is None:
+                    rec = record_of(active)
+                    if rec is None:
                         # it holds the old frontier plus the ended link,
                         # lies within the members' pair rows, and a link
                         # that does not interact with the ended one keeps
@@ -383,7 +425,9 @@ class Simulator:
                             if row is None:
                                 row = pair_bound(1 << j)
                             bound &= row
-                        front = judge(active, counting | bit, bound)
+                        judge(active, counting | bit, bound)
+                        rec = states[active]
+                    front = rec[0]
                     started = front & ~(counting | bit)
                     while started:
                         low = started & -started
@@ -398,17 +442,17 @@ class Simulator:
                             f"timer of link {link} expired while infeasible")
                     active |= bit
                     counting ^= bit
-                    counted[link] += now - resumed[link]
-                    if abs(counted[link] - drawn[link]) > 1e-6:
+                    c = counted[link] = counted[link] + (now - resumed[link])
+                    if abs(c - drawn[link]) > 1e-6:
                         raise ProtocolError("backoff bookkeeping lost time "
                                             "across suspend/resume")
                     members.append(link)
-                    front = frontier_of(active)
-                    if front is None:
-                        # only a set proven independent has a stored
-                        # frontier; the new one lies within the old one
-                        # and the link's pair row, and holds the old links
-                        # that do not interact with the started one
+                    rec = record_of(active)
+                    if rec is None:
+                        # only a set proven independent has a record; the
+                        # new frontier lies within the old one and the
+                        # link's pair row, and holds the old links that do
+                        # not interact with the started one
                         ok = independent_of(active)
                         if ok is None:
                             ok = independent(active)
@@ -418,8 +462,10 @@ class Simulator:
                         row = pairs[link]
                         if row is None:
                             row = pair_bound(bit)
-                        front = judge(active, counting & ~interacts[link],
-                                      counting & row)
+                        judge(active, counting & ~interacts[link],
+                              counting & row)
+                        rec = states[active]
+                    front = rec[0]
                     due[link] = now + hold_scale[link] * next(draws[link])
                     stopped = counting & ~front
                     while stopped:
@@ -433,7 +479,7 @@ class Simulator:
             lo = now if now >= warmup else warmup
             if until > lo:
                 dt = until - lo
-                occupancy[active] = occupancy.get(active, 0.0) + dt
+                rec[1] += dt
                 for i in members:
                     busy[i] += dt
             now = until
@@ -445,7 +491,7 @@ class Simulator:
         return SimStats(
             busy_time=np.array(self.busy, dtype=np.float64),
             completed=np.array(self.completed, dtype=np.int64),
-            occupancy=dict(self.occupancy),
+            occupancy=self.occupancy,
             measured_time=measured,
         )
 
@@ -455,7 +501,7 @@ def run(topology: NetworkTopology, channel: ChannelMatrix,
     """Run the protocol for the configured horizon and return its statistics.
 
     ``family``, the network's ``enumerate_feasible``, seeds the simulator's
-    frontier cache (see ``Simulator``); the statistics are the same with or
+    state table (see ``Simulator``); the statistics are the same with or
     without it.
     """
     sim = Simulator(topology, channel, params=cfg.params,

@@ -613,7 +613,8 @@ class TestFrontierAgreement:
     """The simulator's local frontier equals the exact engine's frontier and
     the receivers' table checks, in every range regime.  A cold
     simulator's ``_frontier`` of each member equals ``family.frontier``,
-    which is what lets a family seed the frontier cache."""
+    and its state table then holds the records a seeded one starts with,
+    which is what lets a family seed the state table."""
 
     def _assert_agree(self, topo, channel):
         family = enumerate_feasible(topo, channel)
@@ -621,6 +622,8 @@ class TestFrontierAgreement:
         for bits, front in zip(family.sets.tolist(),
                                family.frontier.tolist()):
             assert simulator._frontier(bits) == front, bits
+        seeded = Simulator(topo, channel, family=family)
+        assert simulator._states == seeded._states
 
     def test_triangle(self, triangle):
         self._assert_agree(*triangle)
@@ -736,10 +739,11 @@ class TestBoundedMiss:
     def _assert_cache_exact(self, topo, channel, seed, horizon):
         sim = Simulator(topo, channel, seed=seed)
         sim.advance(horizon)
-        assert len(sim._frontier_cache) > 1
+        stored = frontiers(sim)
+        assert len(stored) > 1
         fresh = Simulator(topo, channel)
-        for mask, front in sim._frontier_cache.items():
-            fresh._frontier_cache.clear()
+        for mask, front in stored.items():
+            fresh._states.clear()
             assert fresh._frontier(mask) == front, mask
 
     def test_random_topologies(self):
@@ -756,7 +760,7 @@ class TestBoundedMiss:
 
     @pytest.mark.parametrize("seed", [1, 29])
     def test_dense_k100(self, seed):
-        # all in range: most events miss the frontier cache
+        # all in range: most events enter a set without a record
         topo = random_topology(np.random.default_rng(1), 100)
         self._assert_cache_exact(topo, build_channel_matrix(topo), seed,
                                  horizon=10.0)
@@ -790,10 +794,11 @@ class TestBoundedMiss:
         channel = build_channel_matrix(topo)
         sim = Simulator(topo, channel, seed=1)
         sim.advance(horizon)
-        assert len(sim._frontier_cache) > 50
+        stored = frontiers(sim)
+        assert len(stored) > 50
         interacts = compile_network(topo, channel).interacts
         assert max(bin(m).count("1") for m in interacts) < k // 2
-        for mask, front in sim._frontier_cache.items():
+        for mask, front in stored.items():
             assert front == oracle_frontier(topo, channel, mask), mask
 
 
@@ -958,6 +963,11 @@ class TestPairRows:
             assert sim._pair_bound(mask) == expected
 
 
+def frontiers(sim):
+    """The frontier of each set in the state table, keyed by bitmask."""
+    return {mask: rec[0] for mask, rec in sim._states.items()}
+
+
 def full_state(sim):
     """Everything a run carries from one event to the next, the caches
     aside."""
@@ -967,16 +977,16 @@ def full_state(sim):
 
 
 def assert_caches_within(sim, cap):
-    """No cache holds more than ``cap`` entries, and the active set's
-    frontier is stored."""
-    for cache in (sim._indep_cache, sim._frontier_cache):
-        assert len(cache) <= cap, sim.now
-    assert sim.active in sim._frontier_cache
+    """The verdict cache holds no more than ``cap`` entries, and the active
+    set has a record."""
+    assert len(sim._indep_cache) <= cap, sim.now
+    assert sim.active in sim._states
 
 
 class TestCacheCap:
-    """Emptying the caches when one fills changes no verdict: the run is
-    the same, and no cache ends above the cap."""
+    """Emptying the verdict cache when it fills changes no verdict: the run
+    is the same, the cache never ends above the cap, and the state table,
+    which the cap does not bound, is never emptied."""
 
     def test_k100_small_cap(self, monkeypatch):
         topo = random_topology(np.random.default_rng(1), 100)
@@ -990,6 +1000,8 @@ class TestCacheCap:
             capped.advance(float(t))
             assert_caches_within(capped, 256)
         assert capped.occupancy == default.occupancy
+        assert capped._states == default._states
+        assert len(capped._states) > 256
         assert capped.busy == default.busy
         assert capped.completed == default.completed
         assert (capped.completed_total.tolist()
@@ -1007,10 +1019,10 @@ class TestInitialCaches:
         scn = load_scenario(path)
         sim = Simulator(scn.topology, scn.channel, seed=1)
         judged = Simulator(scn.topology, scn.channel, seed=1)
-        judged._frontier_cache.clear()
+        judged._states.clear()
         judged._indep_cache.clear()
         assert judged._frontier(0) == sim.counting
-        assert judged._frontier_cache == sim._frontier_cache
+        assert judged._states == sim._states
         assert judged._indep_cache == sim._indep_cache
 
 
@@ -1084,10 +1096,10 @@ class TestProtocolErrors:
         assert sim.active >> link & 1
 
 class TestSeededProtocolErrors(TestProtocolErrors):
-    """The same corruptions raise when a family seeds the frontier cache:
-    a seeded run looks up every frontier, yet still checks each expiry and
-    each counted backoff, and a set outside the family still misses the
-    cache and fails its independence check."""
+    """The same corruptions raise when a family seeds the state table: a
+    seeded run looks up every frontier, yet still checks each expiry and
+    each counted backoff, and a set outside the family still has no record
+    and fails its independence check."""
 
     seeded = True
 
@@ -1097,9 +1109,9 @@ SEEDED_SCENARIOS = [TRIANGLE_YAML, ROOT / "scenarios" / "sparse-k10.yaml",
 
 
 class TestFamilySeed:
-    """A simulator seeded with its network's family starts with every
-    member's frontier stored, so it never judges a set, and it runs the
-    same process as a cold one, draw for draw."""
+    """A simulator seeded with its network's family starts with a record
+    for every member, so it never judges a set, and it runs the same
+    process as a cold one, draw for draw."""
 
     @pytest.mark.parametrize("path, step", [
         (TRIANGLE_YAML, 0.5), (SEEDED_SCENARIOS[1], 0.25),
@@ -1112,7 +1124,7 @@ class TestFamilySeed:
                                   params=scn.sim.params, seed=1, warmup=step,
                                   family=f) for f in (None, family))
         table = dict(zip(family.sets.tolist(), family.frontier.tolist()))
-        assert seeded._frontier_cache == table
+        assert frontiers(seeded) == table
         verdicts = dict(seeded._indep_cache)
         for t in np.arange(step, 100.0 + step / 2, step):
             cold.advance(float(t))
@@ -1123,7 +1135,7 @@ class TestFamilySeed:
         assert len(cold._indep_cache) > len(verdicts)
         assert seeded._indep_cache == verdicts
         assert seeded._pairs == [None] * k
-        assert seeded._frontier_cache == table
+        assert frontiers(seeded) == table
 
     @pytest.mark.parametrize("path", SEEDED_SCENARIOS[:2],
                              ids=lambda p: p.stem)
@@ -1146,7 +1158,7 @@ class TestFamilySeed:
         cold.advance(50.0)
         monkeypatch.setattr(sim_module, "_CACHE_CAP", len(family) - 1)
         sim = Simulator(scn.topology, scn.channel, seed=1, family=family)
-        assert sim._frontier_cache == {0: sim.counting}
+        assert frontiers(sim) == {0: sim.counting}
         sim.advance(50.0)
         assert full_state(sim) == full_state(cold)
 
@@ -1198,7 +1210,78 @@ class TestFamilySeed:
             channel = build_channel_matrix(topo)
             family = enumerate_feasible(topo, channel)
             sim = Simulator(topo, channel, family=family)
-            assert len(sim._frontier_cache) == len(family)
+            assert len(sim._states) == len(family)
+
+    def test_family_missing_a_set_refused(self):
+        # without one maximal 3-link member the family stays downward
+        # closed, and its pair rows and maximal members pass; a run seeded
+        # with it would never occupy the missing set
+        scn = load_scenario(SEEDED_SCENARIOS[2])
+        family = enumerate_feasible(scn.topology, scn.channel)
+        sets = family.sets.tolist()
+        maximal = family.sets[(family.frontier == 0)
+                              & (family.links().sum(axis=0) == 3)].tolist()
+        less = FeasibleFamily([m for m in sets if m != maximal[0]],
+                              family.width)
+        network = compile_network(scn.topology, scn.channel)
+        assert less.frontier[less.find([1 << j for j in range(12)])[0]
+                             ].tolist() == [network.joins(1 << j, 4095, {})
+                                            for j in range(12)]
+        assert all(map(network.independent,
+                       less.sets[less.frontier == 0].tolist()))
+        with pytest.raises(ValueError, match="lacks"):
+            Simulator(scn.topology, scn.channel, family=less)
+
+    def test_every_omission_refused(self):
+        # a family without one maximal member is still downward closed; a
+        # missing singleton or pair changes the pair rows, and a larger
+        # missing set must be found among the candidates
+        rng = np.random.default_rng(949)
+        topologies = ([random_topology(rng, int(rng.integers(3, 10)))
+                       for _ in range(10)]
+                      + [sparse_topology(rng, 4, 13) for _ in range(10)])
+        topologies += [per_link_thresholds(rng, topo, cancel_fraction=0.5,
+                                           far_interference=1e-3)
+                       for topo in topologies]
+        larger = 0
+        for topo in filter(None, topologies):
+            channel = build_channel_matrix(topo)
+            family = enumerate_feasible(topo, channel)
+            sets = family.sets.tolist()
+            for gone in family.sets[family.frontier == 0].tolist():
+                less = FeasibleFamily([m for m in sets if m != gone],
+                                      family.width)
+                with pytest.raises(ValueError):
+                    Simulator(topo, channel, family=less)
+                larger += bin(gone).count("1") >= 3
+        assert larger > 50
+
+
+class TestStateTable:
+    """One record per reached set holds its frontier and its occupied
+    time; ``occupancy`` is read from the records, not kept beside them."""
+
+    def test_pair_row_keeps_the_time(self, triangle):
+        sim = Simulator(*triangle, seed=1)
+        sim.advance(50.0)
+        rec = sim._states[0b10]
+        assert rec[1] > 0.0
+        time = rec[1]
+        sim._pairs[1] = None
+        assert sim._pair_bound(0b10) == rec[0]
+        assert sim._states[0b10] is rec
+        assert rec[1] == time
+
+    def test_occupancy_is_read_only(self, triangle):
+        sim = Simulator(*triangle, seed=1, warmup=5.0)
+        sim.advance(50.0)
+        before = sim.occupancy
+        assert sum(before.values()) == pytest.approx(45.0)
+        with pytest.raises(AttributeError):
+            sim.occupancy = {}
+        sim.occupancy[0] = -1.0
+        sim.occupancy.clear()
+        assert sim.occupancy == before
 
 
 class TestSparseRange:
