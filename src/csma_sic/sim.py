@@ -157,9 +157,9 @@ class Simulator:
     The protocol state is the ``active`` bitmask plus the timers: ``due[i]``
     is link i's next event time, its completion if it is active, its expiry
     if its timer counts, else ``math.inf``.  Between events ``counting``,
-    the links whose timers run, is ``_frontier(active)``, the links c for
-    which ``active`` plus c is independent (Boorstyn et al., 1987); on the
-    family it equals ``FeasibleFamily.frontier``.
+    the links whose timers run, is the frontier of ``active``, the links c
+    for which ``active`` plus c is independent (Boorstyn et al., 1987); on
+    the family it equals ``FeasibleFamily.frontier``.
 
     ``family``, if given, is the network's family of independent sets, as
     ``enumerate_feasible`` finds it.  ``ValueError`` refuses a family of
@@ -174,23 +174,29 @@ class Simulator:
     with one verdict dict, which the run does not keep.  With at most
     ``_CACHE_CAP`` members, the family seeds the state table with a record
     for every member.  A run can reach only members, so a seeded run never
-    judges a set: it never calls ``joins``, fills no pair row, and makes no
+    judges a set: it never calls ``joins``, makes no record, and makes no
     independence check.  The frontiers are the ones judging would store,
     so the run is the same, draw for draw, with or without ``family``.
 
-    ``_states`` maps each set reached to its record ``[frontier, time]``:
-    the frontier, and the time occupied after ``warmup``.  It holds the
-    empty set from the start, a record is added when a set's frontier is
-    first judged, and it is never emptied.  ``occupancy`` reads the times
-    from it.  ``_indep_cache`` keeps the verdict per mask, and is emptied
-    when it reaches ``_CACHE_CAP`` entries.  When an event enters a set
-    without a record, the new frontier is bounded by ``counting``, by the
-    pair rows ``_pairs[j]``, the frontier of ``{j}`` judged the first
-    time a judgement needs it, and by the compiled network's interaction
-    masks: when c starts, the counting links outside ``interacts[c]`` keep
-    counting unjudged, and when l ends, only links inside ``interacts[l]``
-    may resume.  The links left between the bounds are judged by one
-    ``joins`` call, which reads and fills ``_indep_cache``.
+    ``_states``, the one table of sets, maps each set reached to its
+    record ``[frontier, time]``: the frontier, and the time occupied after
+    ``warmup``.  It holds the empty set from the start, ``_record`` adds a
+    set's record when its frontier is first judged, and it is never
+    emptied.  ``occupancy`` reads the times from it.  ``_indep_cache``
+    keeps the verdict per mask, and is emptied when it reaches
+    ``_CACHE_CAP`` entries.  When an event enters a set without a record,
+    the new frontier is bounded by ``counting``, by the pair rows, and by
+    the compiled network's interaction masks: when c starts, the counting
+    links outside ``interacts[c]`` keep counting unjudged, and when l
+    ends, only links inside ``interacts[l]`` may resume.  The pair row of
+    link j, the links that may run alongside j alone, is the frontier in
+    the record of ``{j}``.  Each set in the table has a record for each of
+    its links alone: a seeding family is downward closed, and a miss makes
+    the record of a started link alone, judged unbounded, before it makes
+    the record of any set holding that link.  So an end finds its
+    members' rows, and only a start can make one.  The links left between
+    the bounds are judged by one ``joins`` call, which reads and fills
+    ``_indep_cache``.
 
     Each event checks that an expiring timer was counting, that a started
     set without a record is independent, by its cached verdict or the
@@ -220,7 +226,6 @@ class Simulator:
         self.warmup = warmup
 
         self._all = (1 << k) - 1
-        self._pairs = [None] * k
         network = self._network = compile_network(topology, channel)
         # every timer counts from time 0, so every link must run alone
         unfit = self._all & ~network.solo
@@ -312,17 +317,16 @@ class Simulator:
             raise ValueError("rates must be finite and positive, one per link")
         self._backoff_scale = _backoff_scale(lam)
 
-    def _frontier(self, mask: int, front: int = 0, maybe: int = None) -> int:
-        """Bitmask of the links outside ``mask`` that may start transmitting.
+    def _record(self, mask: int, front: int = 0, maybe: int = None) -> list:
+        """Make, store and return the record of ``mask``, a set without one.
 
-        ``front`` and ``maybe`` bound the answer: the links in ``front`` are
+        ``front`` and ``maybe`` bound its frontier, the links outside
+        ``mask`` that may start transmitting: the links in ``front`` are
         taken as in, those outside ``maybe`` as out, and only the rest are
         judged, by one ``joins`` call through ``_indep_cache``, which is
         then emptied if it has reached ``_CACHE_CAP`` entries; in place, as
         ``advance`` holds its bound ``get``.  Unbounded, every link outside
-        ``mask`` is judged.  A set without a record gets one, with the
-        frontier and no time; a set with one keeps it, time and all, as its
-        stored frontier is the same.
+        ``mask`` is judged.  The record is ``[frontier, 0.0]``.
         """
         if maybe is None:
             maybe = self._all
@@ -330,27 +334,8 @@ class Simulator:
         front |= self._network.joins(mask, maybe & ~front, verdicts)
         if len(verdicts) >= _CACHE_CAP:
             verdicts.clear()
-        if mask not in self._states:
-            self._states[mask] = [front, 0.0]
-        return front
-
-    def _pair_bound(self, mask: int) -> int:
-        """The links that may run alongside each member of ``mask`` alone.
-
-        That is the AND of the pair rows ``_pairs[j]`` over the members, and
-        by downward closure it holds the frontier of ``mask``.  A row is the
-        unbounded frontier of ``{j}``, judged the first time it is needed.
-        """
-        pairs, bound = self._pairs, self._all
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            j = low.bit_length() - 1
-            row = pairs[j]
-            if row is None:
-                row = pairs[j] = self._frontier(low)
-            bound &= row
-        return bound
+        rec = self._states[mask] = [front, 0.0]
+        return rec
 
     # -- driving ------------------------------------------------------------
 
@@ -367,10 +352,14 @@ class Simulator:
         walks only the links it let in.  A start only narrows it and walks
         only the links it shut out.  A lookup misses, and a frontier is
         judged, only for a set without a record: never in a run seeded with
-        its family (see ``Simulator``).  The state lives in locals, the
-        active links also as the list ``members``; ``now``, ``active`` and
-        ``counting`` are written back on the way out, also when a
-        ``ProtocolError`` ends it.
+        its family (see ``Simulator``).  A start that misses first makes
+        the record of the started link alone if it has none; that is the
+        pair row its bound needs, and for a link alone the set's own
+        record.  ``_record`` returns the record it makes, so the event
+        reads it without a second lookup.  The state
+        lives in locals, the active links also as the list ``members``;
+        ``now``, ``active`` and ``counting`` are written back on the way
+        out, also when a ``ProtocolError`` ends it.
         """
         if not _finite(until) or until < self.now:
             raise ValueError("advance needs a finite time no earlier than now")
@@ -385,7 +374,7 @@ class Simulator:
         states = self._states
         record_of = states.get
         independent_of = self._indep_cache.get
-        judge, pairs, pair_bound = self._frontier, self._pairs, self._pair_bound
+        record = self._record
         independent = self._network.independent
         interacts = self._network.interacts
         inf = math.inf
@@ -418,15 +407,12 @@ class Simulator:
                         # it holds the old frontier plus the ended link,
                         # lies within the members' pair rows, and a link
                         # that does not interact with the ended one keeps
-                        # its verdict
+                        # its verdict; the old set's record proves that
+                        # each member alone has one
                         bound = interacts[link]
                         for j in members:
-                            row = pairs[j]
-                            if row is None:
-                                row = pair_bound(1 << j)
-                            bound &= row
-                        judge(active, counting | bit, bound)
-                        rec = states[active]
+                            bound &= states[1 << j][0]
+                        rec = record(active, counting | bit, bound)
                     front = rec[0]
                     started = front & ~(counting | bit)
                     while started:
@@ -452,19 +438,18 @@ class Simulator:
                         # only a set proven independent has a record; the
                         # new frontier lies within the old one and the
                         # link's pair row, and holds the old links that do
-                        # not interact with the started one
+                        # not interact with the started one; a link
+                        # alone has its pair row as its record
                         ok = independent_of(active)
                         if ok is None:
                             ok = independent(active)
                         if not ok:
                             raise ProtocolError(
                                 "active set left the independent-set family")
-                        row = pairs[link]
-                        if row is None:
-                            row = pair_bound(bit)
-                        judge(active, counting & ~interacts[link],
-                              counting & row)
-                        rec = states[active]
+                        rec = record_of(bit) or record(bit)
+                        if active != bit:
+                            rec = record(active, counting & ~interacts[link],
+                                         counting & rec[0])
                     front = rec[0]
                     due[link] = now + hold_scale[link] * next(draws[link])
                     stopped = counting & ~front

@@ -611,19 +611,20 @@ class TestPinnedOutputs:
 
 class TestFrontierAgreement:
     """The simulator's local frontier equals the exact engine's frontier and
-    the receivers' table checks, in every range regime.  A cold
-    simulator's ``_frontier`` of each member equals ``family.frontier``,
-    and its state table then holds the records a seeded one starts with,
+    the receivers' table checks, in every range regime.  The compiled
+    ``joins`` a simulator judges with, unbounded, gives each member
+    ``family.frontier``, the frontier a seeded simulator starts with,
     which is what lets a family seed the state table."""
 
     def _assert_agree(self, topo, channel):
         family = enumerate_feasible(topo, channel)
-        simulator = Simulator(topo, channel)
-        for bits, front in zip(family.sets.tolist(),
-                               family.frontier.tolist()):
-            assert simulator._frontier(bits) == front, bits
+        joins = compile_network(topo, channel).joins
+        everything = (1 << topo.n_links) - 1
+        table = dict(zip(family.sets.tolist(), family.frontier.tolist()))
+        for bits, front in table.items():
+            assert joins(bits, everything, {}) == front, bits
         seeded = Simulator(topo, channel, family=family)
-        assert simulator._states == seeded._states
+        assert frontiers(seeded) == table
 
     def test_triangle(self, triangle):
         self._assert_agree(*triangle)
@@ -680,11 +681,12 @@ class TestFrontierAgreement:
         topologies.append(sparse_topology(rng, 8, 26))  # a former hidden terminal
         for topo in topologies:
             channel = build_channel_matrix(topo)
-            simulator = Simulator(topo, channel)
+            joins = compile_network(topo, channel).joins
+            everything, verdicts = (1 << topo.n_links) - 1, {}
             seen, todo = {0}, [0]
             while todo:
                 mask = todo.pop()
-                for i in bit_ids(simulator._frontier(mask)):
+                for i in bit_ids(joins(mask, everything, verdicts)):
                     if mask | 1 << i not in seen:
                         seen.add(mask | 1 << i)
                         todo.append(mask | 1 << i)
@@ -712,11 +714,12 @@ class TestFrontierAgreement:
         unheard = 0
         for topo in topologies:
             channel = build_channel_matrix(topo)
-            simulator = Simulator(topo, channel)
+            joins = compile_network(topo, channel).joins
+            everything = (1 << topo.n_links) - 1
             coeffs = {l.rx: warm_coeff_table(topo, channel, l.rx)
                       for l in topo.links}
             for bits in enumerate_feasible(topo, channel).sets.tolist():
-                front = simulator._frontier(bits)
+                front = joins(bits, everything, {})
                 for l in topo.links:
                     verdict, silent = receiver_veto(topo, coeffs, bits, l)
                     unheard += silent
@@ -741,10 +744,10 @@ class TestBoundedMiss:
         sim.advance(horizon)
         stored = frontiers(sim)
         assert len(stored) > 1
-        fresh = Simulator(topo, channel)
+        joins = compile_network(topo, channel).joins
+        everything = (1 << topo.n_links) - 1
         for mask, front in stored.items():
-            fresh._states.clear()
-            assert fresh._frontier(mask) == front, mask
+            assert joins(mask, everything, {}) == front, mask
 
     def test_random_topologies(self):
         rng = np.random.default_rng(41)
@@ -906,18 +909,34 @@ class TestOneSidedStep:
             self._step(topo, build_channel_matrix(topo), seed, horizon=20.0)
 
 
+def watch_records(sim):
+    """Each call ``sim`` makes to ``_record`` from now on, as its mask and
+    whether the state table held that mask already."""
+    calls = []
+    record = sim._record
+
+    def watched(mask, *bounds):
+        calls.append((mask, mask in sim._states))
+        return record(mask, *bounds)
+
+    sim._record = watched
+    return calls
+
+
 class TestPairRows:
-    """``_pairs[j]``, filled on first use, is the frontier of ``{j}``: the
-    links c for which {j, c} is independent."""
+    """The pair row of link j, the links c for which {j, c} is independent,
+    is the frontier in the state table's record of ``{j}``: made, judged
+    unbounded, the first time j starts without it, and read as it is
+    after."""
 
     def _assert_rows(self, topo, channel):
         family = enumerate_feasible(topo, channel)
         sim = Simulator(topo, channel)
-        assert sim._pairs == [None] * topo.n_links
+        assert list(sim._states) == [0]
         for j in range(topo.n_links):
             front = family.frontier[family.index(1 << j)]
-            assert sim._pair_bound(1 << j) == front, j
-            assert sim._pairs[j] == front, j
+            assert sim._record(1 << j)[0] == front, j
+            assert sim._states[1 << j][0] == front, j
 
     def test_triangle(self, triangle):
         self._assert_rows(*triangle)
@@ -944,23 +963,28 @@ class TestPairRows:
         sim = Simulator(topo, scn.channel, seed=1)
         sim.advance(scn.sim.horizon)
         k = topo.n_links
-        assert any(row is not None for row in sim._pairs)
-        for j in range(k):
-            row = sum(1 << c for c in range(k)
-                      if c != j and oracle(1 << j | 1 << c))
-            assert sim._pair_bound(1 << j) == row, j
-            assert sim._pairs[j] == row, j
+        rows = {j: sim._states[1 << j][0] for j in range(k)
+                if 1 << j in sim._states}
+        assert rows
+        for j, row in rows.items():
+            assert row == sum(1 << c for c in range(k)
+                              if c != j and oracle(1 << j | 1 << c)), j
 
     def test_pair_bound_is_the_and_of_rows(self):
+        # by downward closure the AND of its links' rows holds the
+        # frontier of every set in the table
         topo = random_topology(np.random.default_rng(71), 12)
-        sim = Simulator(topo, build_channel_matrix(topo))
-        rows = [sim._pair_bound(1 << j) for j in range(12)]
-        assert sim._pair_bound(0) == (1 << 12) - 1
-        for mask in (0b101, 0b111000, 0b100000000011):
-            expected = (1 << 12) - 1
+        channel = build_channel_matrix(topo)
+        sim = Simulator(topo, channel, seed=1)
+        sim.advance(50.0)
+        rows = [oracle_frontier(topo, channel, 1 << j) for j in range(12)]
+        stored = frontiers(sim)
+        assert sum(bin(mask).count("1") > 1 for mask in stored) > 10
+        for mask, front in stored.items():
+            bound = (1 << 12) - 1
             for j in bit_ids(mask):
-                expected &= rows[j]
-            assert sim._pair_bound(mask) == expected
+                bound &= rows[j]
+            assert front & ~bound == 0, mask
 
 
 def frontiers(sim):
@@ -1018,12 +1042,12 @@ class TestInitialCaches:
         set stores them, so ``advance`` judges no solo set again."""
         scn = load_scenario(path)
         sim = Simulator(scn.topology, scn.channel, seed=1)
-        judged = Simulator(scn.topology, scn.channel, seed=1)
-        judged._states.clear()
-        judged._indep_cache.clear()
-        assert judged._frontier(0) == sim.counting
-        assert judged._states == sim._states
-        assert judged._indep_cache == sim._indep_cache
+        verdicts = {}
+        front = compile_network(scn.topology, scn.channel).joins(
+            0, (1 << scn.topology.n_links) - 1, verdicts)
+        assert front == sim.counting
+        assert sim._states == {0: [front, 0.0]}
+        assert verdicts == sim._indep_cache
 
 
 def advance_to_expiry(sim):
@@ -1126,6 +1150,7 @@ class TestFamilySeed:
         table = dict(zip(family.sets.tolist(), family.frontier.tolist()))
         assert frontiers(seeded) == table
         verdicts = dict(seeded._indep_cache)
+        made = watch_records(seeded)
         for t in np.arange(step, 100.0 + step / 2, step):
             cold.advance(float(t))
             seeded.advance(float(t))
@@ -1134,7 +1159,7 @@ class TestFamilySeed:
         # the cold run judged sets; the seeded one judged none
         assert len(cold._indep_cache) > len(verdicts)
         assert seeded._indep_cache == verdicts
-        assert seeded._pairs == [None] * k
+        assert made == []
         assert frontiers(seeded) == table
 
     @pytest.mark.parametrize("path", SEEDED_SCENARIOS[:2],
@@ -1257,20 +1282,68 @@ class TestFamilySeed:
         assert larger > 50
 
 
+class TestRecordsMadeOnce:
+    """A cold run makes each record once: every call to ``_record`` is for
+    a set the state table does not hold yet, whether the set is entered
+    or a pair row is needed for its bound.  Each set in the table has a
+    record for each of its links alone, which an end reads as its pair
+    rows."""
+
+    @pytest.mark.parametrize("path, horizon, seeds", [
+        (PERFBENCH_SCENARIOS / "dense-k25.yaml", 50.0, range(1001, 1006)),
+        (ROOT / "scenarios" / "sparse-k50.yaml", 100.0, [1])],
+        ids=["dense-k25", "sparse-k50"])
+    def test_cold_runs(self, path, horizon, seeds):
+        scn = load_scenario(path)
+        for seed in seeds:
+            sim = Simulator(scn.topology, scn.channel, params=scn.sim.params,
+                            seed=seed)
+            calls = watch_records(sim)
+            sim.advance(horizon)
+            assert len(calls) > 100, seed
+            assert not any(held for _, held in calls), seed
+            assert len(calls) == len(sim._states) - 1, seed
+            for mask in sim._states:
+                assert all(1 << j in sim._states for j in bit_ids(mask))
+
+
 class TestStateTable:
     """One record per reached set holds its frontier and its occupied
     time; ``occupancy`` is read from the records, not kept beside them."""
 
-    def test_pair_row_keeps_the_time(self, triangle):
-        sim = Simulator(*triangle, seed=1)
-        sim.advance(50.0)
-        rec = sim._states[0b10]
-        assert rec[1] > 0.0
-        time = rec[1]
-        sim._pairs[1] = None
-        assert sim._pair_bound(0b10) == rec[0]
-        assert sim._states[0b10] is rec
-        assert rec[1] == time
+    def test_pair_row_keeps_the_time(self):
+        # an event enters a set whose record is dropped, so it misses and
+        # reads its links' pair rows; each of those links has a record, so
+        # the miss makes the set's record alone, adds only the set's own
+        # verdicts, and leaves every row's record and time as they were
+        topo = random_topology(np.random.default_rng(71), 12)
+        sim = Simulator(topo, build_channel_matrix(topo), seed=1)
+        sim.advance(20.0)
+        calls = watch_records(sim)
+        states, checked = sim._states, {True: 0, False: 0}
+        while sim.now < 200.0:
+            t = min(sim.due)
+            link = sim.due.index(t)
+            before, after = sim.active, sim.active ^ 1 << link
+            singles = [1 << j for j in bit_ids(after)]
+            if (len(singles) < 2
+                    or not all(single in states for single in singles)):
+                sim.advance(t)
+                continue
+            states.pop(after, None)
+            rows = {single: (states[single], states[single][1])
+                    for single in singles if single != before}
+            verdicts = set(sim._indep_cache)
+            del calls[:]
+            sim.advance(t)
+            assert calls == [(after, False)], t
+            for single, (rec, time) in rows.items():
+                assert states[single] is rec and rec[1] == time, t
+            for trial in set(sim._indep_cache) - verdicts:
+                assert trial & after == after, t
+                assert bin(trial & ~after).count("1") == 1, t
+            checked[bool(before & 1 << link)] += 1
+        assert checked[True] > 10 and checked[False] > 10
 
     def test_occupancy_is_read_only(self, triangle):
         sim = Simulator(*triangle, seed=1, warmup=5.0)
